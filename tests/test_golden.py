@@ -1,0 +1,87 @@
+"""Byte-for-byte snapshot of the search's observable behaviour.
+
+For every sequent and satisfiability claim of the suite registry, and for the
+theorem of every good shipped derivation decided at Basic{4} (the regime
+`deolog suite` uses for them), the snapshot records the verdict kind, its
+fingerprint, witness, strategy, weighting and the countermodel document.
+Search order is deterministic, so any drift is a change of behaviour.
+
+Regenerate (only when a change of behaviour is intended and explained):
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import pathlib
+import sys
+
+from deolog import suite
+from deolog.documents import model_to_doc
+from deolog.engine import Sequent, check
+from deolog.proofs import check_derivation
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_claims.json"
+
+# claims that decide nothing through check/satisfiable/forall-weights
+NOT_SEARCH = ("Prop1.random", "Prop2.random", "Fact1.random",
+              "Axioms.derivations")
+
+
+def verdict_entry(verdict):
+    return {
+        "verdict": verdict.kind,
+        "fingerprint": verdict.fingerprint,
+        "witness": verdict.witness.name if verdict.witness else None,
+        "strategy": verdict.strategy,
+        "weighting": None if verdict.weighting is None else
+        {v: str(x) for v, x in verdict.weighting.items()},
+        "model": None if verdict.countermodel is None else
+        model_to_doc(verdict.countermodel),
+    }
+
+
+def _recording(func, seen):
+    def wrapper(*args, **kwargs):
+        verdict = func(*args, **kwargs)
+        seen.append(verdict)
+        return verdict
+    return wrapper
+
+
+def snapshot():
+    entries = {}
+    seen = []
+    names = ("check", "check_forall_weights_invalidity", "satisfiable")
+    saved = {name: getattr(suite, name) for name in names}
+    try:
+        for name in names:
+            setattr(suite, name, _recording(saved[name], seen))
+        for claim in suite._registry():
+            if claim.claim_id in NOT_SEARCH:
+                continue
+            seen.clear()
+            claim.run()
+            (verdict,) = seen
+            entries[claim.claim_id] = verdict_entry(verdict)
+    finally:
+        for name, func in saved.items():
+            setattr(suite, name, func)
+    for name in suite.derivation_manifest()["good"]:
+        result = check_derivation(suite.load_shipped_derivation(name))
+        verdict = check(Sequent((), result.theorem), suite.BASIC4)
+        entries[f"derivation:{name}"] = verdict_entry(verdict)
+    return entries
+
+
+def render(entries):
+    return json.dumps(entries, indent=1) + "\n"
+
+
+def test_golden_snapshot_is_byte_identical():
+    assert render(snapshot()) == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN.write_text(render(snapshot()))
