@@ -8,6 +8,15 @@ backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
 exhaustive weak-order enumeration (any depth). Every countermodel is
 re-verified by direct evaluation before it is reported.
+
+Each decision compiles its goal once into a Goal: a flat program over the
+goal's distinct subformulas, with its modal depth, preference atoms and
+backend. Both backends evaluate it on int bitmasks. The oracle reads a
+proposition as a mask over the frame's world indices; the rank solver reads
+the goal at one world as a mask over the truth assignments of the free
+preference atoms and visits only the assignments that satisfy it. Masks
+become frozensets of worlds only to key selection cells, to call the
+admissibility policies and to build the reported Model.
 """
 
 from __future__ import annotations
@@ -18,14 +27,13 @@ from dataclasses import dataclass
 
 from . import syntax
 from .syntax import (And, Formula, Not, PrefWeak, Var, desugar, modal_depth,
-                     parse, pref_atoms, top_variable, variables)
-from .models import (Evaluator, MissingSelectionError, Model, World,
-                     holds_at, make_worlds, powerset_worlds)
+                     parse, top_variable, variables)
+from .models import Model, World, holds_at, make_worlds, powerset_worlds
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
-from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
-                      delta_minimal, enumerate_weight_orders, forced_choice,
-                      p_nearest)
+from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
+                      WeightedRegime, check_grid, delta_minimal,
+                      enumerate_weight_orders, forced_choice, p_nearest)
 
 
 class BudgetExceeded(Exception):
@@ -71,7 +79,6 @@ class EngineConfig:
     oracle_world_cap: int = 6
     retry_extras: tuple = (1, 2)
     force_backend: str | None = None   # 'solver' | 'oracle' | None (auto)
-    robust_samples: int = 50
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -125,83 +132,195 @@ def admissible_forced(w, prop):
     return (pick,) if pick is not None else ()
 
 
+# --- Compiled goals ------------------------------------------------------------
+
+_VAR, _NOT, _AND, _PREF = range(4)
+
+
+class Goal:
+    """A core goal formula compiled once per decision.
+
+    Every distinct subformula gets a slot, children before parents, so the
+    preference atoms come innermost first, in the order of pref_atoms. A
+    proposition is an int bitmask: over world indices in the oracle, over
+    truth assignments of the free preference atoms in the rank solver. run()
+    is the one evaluator both backends use: the caller fills the variable
+    and preference slots, run() fills the Not and And slots.
+    """
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+        self.depth = modal_depth(formula)
+        self.backend = "solver" if self.depth <= 1 else "oracle"
+        self.variables = variables(formula)
+        slots = {}
+        code = []
+
+        def compile_node(f):
+            slot = slots.get(f)
+            if slot is not None:
+                return slot
+            if isinstance(f, Var):
+                op = (_VAR, f.name, None)
+            elif isinstance(f, Not):
+                op = (_NOT, compile_node(f.child), None)
+            elif isinstance(f, And):
+                op = (_AND, compile_node(f.left), compile_node(f.right))
+            elif isinstance(f, PrefWeak):
+                op = (_PREF, compile_node(f.left), compile_node(f.right))
+            else:
+                raise TypeError(f"not a core formula: {f!r}")
+            slots[f] = slot = len(code)
+            code.append(op)
+            return slot
+
+        self.root = compile_node(formula)
+        self.code = code
+        self.var_slots = [(i, op[1]) for i, op in enumerate(code)
+                          if op[0] == _VAR]
+        # (slot, left operand slot, right operand slot), innermost first
+        self.atoms = [(i, op[1], op[2]) for i, op in enumerate(code)
+                      if op[0] == _PREF]
+        # whether any later atom can consume selection cells: atoms
+        # comparing a formula with itself (the box/diamond shape) never
+        # pick from a cell
+        self.later_cells = [any(l != r for _, l, r in self.atoms[i + 1:])
+                            for i in range(len(self.atoms))]
+
+    @classmethod
+    def of(cls, goal) -> "Goal":
+        return goal if isinstance(goal, Goal) else cls(goal)
+
+    def slots(self, truth) -> list:
+        """A slot array with each variable slot set to truth[name]."""
+        values = [0] * len(self.code)
+        for slot, name in self.var_slots:
+            values[slot] = truth[name]
+        return values
+
+    def run(self, values, full, start=0, stop=None):
+        """Evaluate the Not and And slots in [start, stop); full is the mask
+        of everything. Variable and preference slots are read as set."""
+        code = self.code
+        for i in range(start, len(code) if stop is None else stop):
+            kind, a, b = code[i]
+            if kind == _NOT:
+                values[i] = full ^ values[a]
+            elif kind == _AND:
+                values[i] = values[a] & values[b]
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _world_masks(worlds, names):
+    return {v: sum(1 << j for j, w in enumerate(worlds) if v in w.members)
+            for v in names}
+
+
+class _Props:
+    """Maps world-index masks to the frozensets that key selection cells,
+    building each frozenset once per frame."""
+
+    def __init__(self, worlds):
+        self.worlds = worlds
+        self.cache = {}
+
+    def __call__(self, mask):
+        prop = self.cache.get(mask)
+        if prop is None:
+            prop = frozenset(self.worlds[j] for j in _bits(mask))
+            self.cache[mask] = prop
+        return prop
+
+
+def _assignment_masks(k):
+    """For each of k free atoms, the mask over the 2^k assignments (numbered
+    in itertools.product((False, True), repeat=k) order) where it is true."""
+    size = 1 << k
+    masks = []
+    for i in range(k):
+        half = 1 << (k - 1 - i)
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
+
+
 # --- Search over a fixed world frame -----------------------------------------
-
-def _prop_eval(goal, atom_values, w):
-    if isinstance(goal, Var):
-        return goal.name in w.members
-    if isinstance(goal, Not):
-        return not _prop_eval(goal.child, atom_values, w)
-    if isinstance(goal, And):
-        return (_prop_eval(goal.left, atom_values, w)
-                and _prop_eval(goal.right, atom_values, w))
-    return atom_values[goal]
-
 
 def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
     """Depth <= 1 backend: preference operands denote fixed propositions, so
     a falsifying utility is a solution of rank comparisons among the picked
     worlds of the witness row."""
-    empty_model = Model(universe, worlds, {w: 0 for w in worlds}, {}, mode)
-    ev = Evaluator(empty_model)
-    atoms = pref_atoms(goal)
-    den = {}
+    # operands of a depth <= 1 goal contain no atom, so the atom slots may
+    # stay 0 while the operands are evaluated over the worlds
+    den = goal.slots(_world_masks(worlds, goal.variables))
+    goal.run(den, (1 << len(worlds)) - 1)
+    prop = _Props(worlds)
     fixed = {}
     free = []
-    for a in atoms:
-        left, right = ev.denote(a.left), ev.denote(a.right)
-        den[a] = (left, right)
+    for slot, l, r in goal.atoms:
+        left, right = den[l], den[r]
         if not left or not right:
-            fixed[a] = False      # existential import
+            fixed[slot] = False      # existential import
         elif left == right:
-            fixed[a] = True       # one cell on both sides
+            fixed[slot] = True       # one cell on both sides
         else:
-            free.append(a)
+            free.append((slot, prop(left), prop(right)))
+    k = len(free)
+    everything = (1 << (1 << k)) - 1
+    truth = {}
+    for (slot, _, _), mask in zip(free, _assignment_masks(k)):
+        truth[slot] = mask
+    for slot, value in fixed.items():
+        truth[slot] = everything if value else 0
+    cells = []
+    for _, left, right in free:
+        for cell in (left, right):
+            if cell not in cells:
+                cells.append(cell)
+    sides = [(cells.index(left), cells.index(right)) for _, left, right in free]
+    index = {w: j for j, w in enumerate(worlds)}
     for w in worlds:
-        for bits in itertools.product((False, True), repeat=len(free)):
-            values = dict(fixed)
-            values.update(zip(free, bits))
-            if not _prop_eval(goal, values, w):
-                continue
-            cells = []
-            for a in free:
-                for prop in den[a]:
-                    if prop not in cells:
-                        cells.append(prop)
-            pick_lists = [admissible(w, prop) for prop in cells]
-            if any(not picks for picks in pick_lists):
-                continue
+        values = goal.slots({v: everything if v in w.members else 0
+                             for v in goal.variables})
+        for slot, mask in truth.items():
+            values[slot] = mask
+        goal.run(values, everything)
+        satisfying = values[goal.root]
+        if not satisfying:
+            continue
+        pick_lists = [admissible(w, cell) for cell in cells]
+        if any(not picks for picks in pick_lists):
+            continue
+        # the solver ranks world indices, which hash cheaply
+        pick_lists = [[index[x] for x in picks] for picks in pick_lists]
+        for t in _bits(satisfying):
+            bits = [(t >> (k - 1 - i)) & 1 for i in range(k)]
             for combo in itertools.product(*pick_lists):
-                pick = dict(zip(cells, combo))
-                constraints = []
-                for a, value in zip(free, bits):
-                    l, r = pick[den[a][0]], pick[den[a][1]]
-                    if value:
-                        constraints.append(ComparisonAtom(l, r, False))
-                    else:
-                        constraints.append(ComparisonAtom(r, l, True))
+                constraints = [
+                    ComparisonAtom(combo[li], combo[ri], False) if value
+                    else ComparisonAtom(combo[ri], combo[li], True)
+                    for (li, ri), value in zip(sides, bits)]
                 ranks = solve_order_constraints(constraints)
                 if ranks is None:
                     continue
-                utility = {w2: ranks.get(w2, 0) for w2 in worlds}
-                selection = {(w, prop): pk for prop, pk in pick.items()}
+                utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
+                selection = {(w, cell): worlds[j]
+                             for cell, j in zip(cells, combo)}
                 model = Model(universe, worlds, utility, selection, mode,
                               weights)
-                if holds_at(model, goal, w):
+                if holds_at(model, goal.formula, w):
                     return model, w
     return None
-
-
-def _eval_with(f, w, table):
-    """Truth of a core formula at w given a truth table for pref atoms."""
-    if isinstance(f, Var):
-        return f.name in w.members
-    if isinstance(f, Not):
-        return not _eval_with(f.child, w, table)
-    if isinstance(f, And):
-        return (_eval_with(f.left, w, table)
-                and _eval_with(f.right, w, table))
-    return w in table[f]
 
 
 def _oracle_search(universe, worlds, goal, admissible, mode, world_cap,
@@ -212,84 +331,90 @@ def _oracle_search(universe, worlds, goal, admissible, mode, world_cap,
     if len(worlds) > world_cap:
         raise BudgetExceeded(
             f"{len(worlds)} worlds exceeds oracle cap {world_cap}")
-    atoms = pref_atoms(goal)   # innermost first, so operands resolve in order
-    everything = frozenset(worlds)
-    # whether any later atom can consume selection cells: atoms comparing a
-    # formula with itself (the box/diamond shape) never pick from a cell
-    later_cells = [any(a.left != a.right for a in atoms[i + 1:])
-                   for i in range(len(atoms))]
+    n = len(worlds)
+    full = (1 << n) - 1
+    atoms = goal.atoms
+    values = goal.slots(_world_masks(worlds, goal.variables))
+    prop = _Props(worlds)
+    index = {w: j for j, w in enumerate(worlds)}
+    admissible_picks = {}
 
-    def finish(utility, table, selection):
-        for w in worlds:
-            if _eval_with(goal, w, table):
-                model = Model(universe, worlds, utility, dict(selection),
-                              mode, weights)
-                if holds_at(model, goal, w):   # mandatory re-verification
-                    return model, w
+    def picks(j, mask):
+        """Indices of the admissible picks at world j from the cell mask;
+        the policies are pure, so each cell is asked once per frame."""
+        got = admissible_picks.get((j, mask))
+        if got is None:
+            got = tuple(index[x] for x in admissible(worlds[j], prop(mask)))
+            admissible_picks[(j, mask)] = got
+        return got
+
+    # the selection under construction maps (world index, cell mask) to the
+    # index of the picked world
+    def finish(utility, selection):
+        goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
+        for j in _bits(values[goal.root]):
+            w = worlds[j]
+            model = Model(universe, worlds, utility,
+                          {(worlds[at], prop(mask)): worlds[x]
+                           for (at, mask), x in selection.items()},
+                          mode, weights)
+            if holds_at(model, goal.formula, w):   # mandatory re-verification
+                return model, w
         return None
 
-    def assign_atom(i, utility, table, selection):
+    def assign_atom(i, utility, rank, selection):
         if i == len(atoms):
-            return finish(utility, table, selection)
-        atom = atoms[i]
-        left = frozenset(w for w in worlds
-                         if _eval_with(atom.left, w, table))
-        right = frozenset(w for w in worlds
-                          if _eval_with(atom.right, w, table))
+            return finish(utility, selection)
+        slot, l, r = atoms[i]
+        # operands only read slots below this atom, and deeper atoms only
+        # write slots above it
+        goal.run(values, full, atoms[i - 1][0] + 1 if i else 0, slot)
+        left, right = values[l], values[r]
         if not left or not right or left == right:
             # existential import, or one cell read on both sides
-            table[atom] = everything if (left and left == right) else \
-                frozenset()
-            found = assign_atom(i + 1, utility, table, selection)
-            del table[atom]
-            return found
+            values[slot] = full if (left and left == right) else 0
+            return assign_atom(i + 1, utility, rank, selection)
+        later = goal.later_cells[i]
 
         def per_world(j, members):
-            if j == len(worlds):
-                table[atom] = frozenset(members)
-                found = assign_atom(i + 1, utility, table, selection)
-                del table[atom]
-                return found
-            w = worlds[j]
+            if j == n:
+                values[slot] = members
+                return assign_atom(i + 1, utility, rank, selection)
             picked = []
-            for prop in (left, right):
-                key = (w, prop)
-                if key in selection:
-                    picked.append(((selection[key],), False))
+            for cell in ((j, left), (j, right)):
+                if cell in selection:
+                    picked.append(((selection[cell],), False))
                 else:
-                    picked.append((admissible(w, prop), True))
+                    picked.append((picks(*cell), True))
             (lefts, new_l), (rights, new_r) = picked
             # equal-rank picks are interchangeable: dedupe branches by rank,
             # or by truth value alone once no later atom can reuse a cell
             seen = set()
             for xl in lefts:
                 for xr in rights:
-                    ranks = (utility[xl], utility[xr])
-                    key = ranks if later_cells[i] else ranks[0] >= ranks[1]
+                    ranks = (rank[xl], rank[xr])
+                    key = ranks if later else ranks[0] >= ranks[1]
                     if key in seen:
                         continue
                     seen.add(key)
                     if new_l:
-                        selection[(w, left)] = xl
+                        selection[(j, left)] = xl
                     if new_r:
-                        selection[(w, right)] = xr
-                    if ranks[0] >= ranks[1]:
-                        members.append(w)
-                    found = per_world(j + 1, members)
-                    if members and members[-1] is w:
-                        members.pop()
+                        selection[(j, right)] = xr
+                    found = per_world(j + 1, members | (1 << j)
+                                      if ranks[0] >= ranks[1] else members)
                     if new_l:
-                        del selection[(w, left)]
+                        del selection[(j, left)]
                     if new_r:
-                        del selection[(w, right)]
+                        del selection[(j, right)]
                     if found:
                         return found
             return None
 
-        return per_world(0, [])
+        return per_world(0, 0)
 
     for utility in bruteforce_weak_orders(worlds):
-        found = assign_atom(0, utility, {}, {})
+        found = assign_atom(0, utility, [utility[w] for w in worlds], {})
         if found:
             return found
     return None
@@ -297,11 +422,9 @@ def _oracle_search(universe, worlds, goal, admissible, mode, world_cap,
 
 def _search_worlds(universe, worlds, goal, admissible, mode, config,
                    weights=None):
-    backend = config.force_backend
-    if backend is None:
-        backend = "solver" if modal_depth(goal) <= 1 else "oracle"
+    backend = config.force_backend or goal.backend
     if backend == "solver":
-        if modal_depth(goal) > 1:
+        if goal.depth > 1:
             raise ValueError("solver backend requires modal depth <= 1")
         return _solver_search(universe, worlds, goal, admissible, mode,
                               weights)
@@ -315,7 +438,8 @@ def find_countermodel_basic(goal, max_worlds, config=DEFAULT_CONFIG):
     """Search basic models: any world multiset over the goal's variables (up
     to max_worlds worlds, valuations may repeat), any selection, any
     utility."""
-    universe = tuple(variables(goal))
+    goal = Goal.of(goal)
+    universe = tuple(goal.variables)
     valuations = [w.members for w in powerset_worlds(universe)]
     for count in range(1, max_worlds + 1):
         for combo in itertools.combinations_with_replacement(
@@ -352,19 +476,24 @@ def find_countermodel_delta(goal, extra_vars=0, config=DEFAULT_CONFIG,
                             admissible=admissible_delta, weights=None):
     """Search delta models over the goal's variables plus extra_vars fresh
     ones (power-set worlds, delta-based selection, free utility)."""
-    universe = _delta_universe(variables(goal), extra_vars, config)
+    goal = Goal.of(goal)
+    universe = _delta_universe(goal.variables, extra_vars, config)
     worlds = powerset_worlds(universe)
     return _search_worlds(universe, worlds, goal, admissible, "delta",
                           config, weights)
 
 
+def _ladder(base_extra, config):
+    """Extra-variable counts of the retry ladder, base rung first."""
+    return [base_extra] + [base_extra + k for k in config.retry_extras]
+
+
 def _delta_ladder(goal, base_extra, config, admissible, weights=None):
     """Countermodel search with the extra-variable retry ladder. Returns
     (found, extras_completed, budget_limited)."""
-    extras = [base_extra] + [base_extra + k for k in config.retry_extras]
     completed = []
     limited = False
-    for extra in extras:
+    for extra in _ladder(base_extra, config):
         try:
             found = find_countermodel_delta(goal, extra, config, admissible,
                                             weights)
@@ -381,7 +510,7 @@ def _delta_ladder(goal, base_extra, config, admissible, weights=None):
 
 def check(sequent: Sequent, regime, config=DEFAULT_CONFIG) -> Verdict:
     """Decide the sequent in the given regime."""
-    goal = sequent.goal(config.strict_def7)
+    goal = Goal(sequent.goal(config.strict_def7))
     if isinstance(regime, BasicRegime):
         return _check_basic(goal, regime, config)
     if isinstance(regime, DeltaRegime):
@@ -418,7 +547,7 @@ def _check_delta(goal, regime, config):
 
 
 def _weighted_universe(goal, regime, config):
-    base = set(variables(goal)) | regime.weight_class.variables()
+    base = set(goal.variables) | regime.weight_class.variables()
     return _delta_universe(sorted(base), regime.extra_variables, config)
 
 
@@ -455,11 +584,11 @@ def _check_weighted(goal, regime, config):
 def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
                                     config=DEFAULT_CONFIG) -> Verdict:
     """Decide whether the sequent fails under *every* weighting: first via a
-    single forced-pick countermodel, then (fallback) one countermodel per
-    enumerated weight-order representative."""
-    from .regimes import DEFAULT_GRID
-    grid = DEFAULT_GRID if grid is None else grid
-    goal = sequent.goal(config.strict_def7)
+    single forced-pick countermodel, then (fallback) rung by rung of the
+    retry ladder, one countermodel per weight-order representative of that
+    rung's universe."""
+    grid = DEFAULT_GRID if grid is None else check_grid(grid)
+    goal = Goal(sequent.goal(config.strict_def7))
     found, _, _ = _delta_ladder(goal, extra_vars, config, admissible_forced)
     fingerprint = {"regime": "forall-weights", "grid": list(grid),
                    "extra_vars": extra_vars}
@@ -467,29 +596,37 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
         model, w = found
         return Verdict("invalid", fingerprint, model, w, weight_robust=True,
                        strategy="forced")
-    universe = _delta_universe(variables(goal), extra_vars, config)
-    weightings = enumerate_weight_orders(universe, WeightClass(), grid)
-    fingerprint["weightings"] = len(weightings)
-    first = None
-    for weighting in weightings:
-        found, _, _ = _delta_ladder(goal, extra_vars, config,
-                                    admissible_weighted(weighting), weighting)
-        if not found:
-            return Verdict("unknown", fingerprint,
-                           detail="no countermodel found for weighting "
-                                  f"{weighting}")
-        if first is None:
-            first = found
-    model, w = first
-    return Verdict("invalid", fingerprint, model, w, weight_robust=False,
-                   strategy="per-weighting")
+    for extra in _ladder(extra_vars, config):
+        try:
+            universe = _delta_universe(goal.variables, extra, config)
+            weightings = enumerate_weight_orders(universe, WeightClass(),
+                                                 grid)
+            fingerprint["weightings"] = len(weightings)
+            first = None
+            for weighting in weightings:
+                found = find_countermodel_delta(
+                    goal, extra, config, admissible_weighted(weighting),
+                    weighting)
+                if not found:
+                    break
+                first = first or found
+            else:
+                model, w = first
+                return Verdict("invalid", fingerprint, model, w,
+                               weight_robust=False, strategy="per-weighting")
+        except BudgetExceeded:
+            continue
+    return Verdict("unknown", fingerprint,
+                   detail="no rung of the ladder has a countermodel for "
+                          "every weighting")
 
 
 def satisfiable(formulas, regime, config=DEFAULT_CONFIG) -> Verdict:
     """Search for a model of the regime and a world satisfying every given
     surface formula."""
     top = top_variable(*formulas)
-    goal = _fold_and([desugar(f, top, config.strict_def7) for f in formulas])
+    goal = Goal(_fold_and([desugar(f, top, config.strict_def7)
+                           for f in formulas]))
     if isinstance(regime, BasicRegime):
         fingerprint = {"regime": "basic", "max_worlds": regime.max_worlds}
         found = find_countermodel_basic(goal, regime.max_worlds, config)

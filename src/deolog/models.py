@@ -104,24 +104,8 @@ class Model:
         self.worlds = tuple(self.worlds)
         self._by_name = {w.name: w for w in self.worlds}
 
-    @property
-    def world_set(self):
-        return frozenset(self.worlds)
-
     def world(self, name: str) -> World:
         return self._by_name[name]
-
-    def truth(self, var: str) -> frozenset:
-        return frozenset(w for w in self.worlds if var in w.members)
-
-    def truth_assignment(self) -> dict:
-        return {v: self.truth(v) for v in self.universe}
-
-    def select(self, w: World, prop: frozenset) -> World:
-        try:
-            return self.selection[(w, prop)]
-        except KeyError:
-            raise MissingSelectionError(w, prop) from None
 
 
 class Evaluator:

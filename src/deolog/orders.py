@@ -5,59 +5,49 @@ sets, and exhaustive enumeration of weak orders (the brute-force oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .models import World
+from collections.abc import Hashable
+from typing import NamedTuple
 
 MAX_ORDER_WORLDS = 8
 
 
-@dataclass(frozen=True)
-class ComparisonAtom:
-    """rank(left) >= rank(right), or strictly > when strict."""
-    left: World
-    right: World
+class ComparisonAtom(NamedTuple):
+    """rank(left) >= rank(right), or strictly > when strict. The sides are
+    worlds, or any hashable names for them."""
+    left: Hashable
+    right: Hashable
     strict: bool = False
 
 
 def solve_order_constraints(atoms) -> dict | None:
-    """Integer ranks satisfying every comparison atom, or None.
+    """Integer ranks satisfying every comparison atom of a sequence, or
+    None.
 
-    A constraint set is unsatisfiable exactly when some cycle of comparisons
-    contains a strict one; detected by longest-path closure (strict edges
-    weigh 1, weak edges 0).
+    Each atom is an edge left -> right of weight 1 if strict, else 0; a
+    world's rank is the weight of the heaviest path leaving it (0 for a
+    sink), the least ranks that satisfy every atom. They are found by
+    label-correcting relaxation from all-zero ranks. A constraint set is
+    unsatisfiable exactly when some cycle contains a strict edge; then ranks
+    grow without bound, and the search stops once one exceeds the number of
+    strict edges, which no path's weight can. Worlds are returned in order
+    of first mention.
     """
-    nodes = []
-    index = {}
-    for a in atoms:
-        for w in (a.left, a.right):
-            if w not in index:
-                index[w] = len(nodes)
-                nodes.append(w)
-    n = len(nodes)
-    neg = -math.inf
-    dist = [[neg] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for a in atoms:
-        i, j = index[a.left], index[a.right]
-        weight = 1 if a.strict else 0
-        if weight > dist[i][j]:
-            dist[i][j] = weight
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == neg:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt > di[j]:
-                    di[j] = alt
-    if any(dist[i][i] > 0 for i in range(n)):
-        return None
-    return {nodes[i]: max(x for x in dist[i] if x != neg) for i in range(n)}
+    rank = {}
+    strict_edges = 0
+    for left, right, strict in atoms:
+        rank[left] = rank[right] = 0
+        strict_edges += strict
+    changed = True
+    while changed:
+        changed = False
+        for left, right, strict in atoms:
+            alt = rank[right] + strict
+            if alt > rank[left]:
+                if alt > strict_edges:
+                    return None
+                rank[left] = alt
+                changed = True
+    return rank
 
 
 def constraints_satisfiable(constraints) -> dict | None:

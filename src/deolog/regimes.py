@@ -63,14 +63,36 @@ class WeightClass:
 DEFAULT_GRID = tuple(range(1, 10))
 
 
+def check_grid(grid) -> tuple:
+    """The grid as a tuple, if it is a non-empty set of positive weights."""
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("weight grid is empty")
+    if min(grid) <= 0:
+        raise ValueError("weights on the grid must be positive")
+    return grid
+
+
+def _check_extra_variables(count):
+    if count < 0:
+        raise ValueError("the number of extra variables must be at least 0")
+
+
 @dataclass(frozen=True)
 class BasicRegime:
     max_worlds: int = 4
+
+    def __post_init__(self):
+        if self.max_worlds < 1:
+            raise ValueError("the world bound must be at least 1")
 
 
 @dataclass(frozen=True)
 class DeltaRegime:
     extra_variables: int = 0
+
+    def __post_init__(self):
+        _check_extra_variables(self.extra_variables)
 
 
 @dataclass(frozen=True)
@@ -78,6 +100,10 @@ class WeightedRegime:
     weight_class: WeightClass = WeightClass()
     grid: tuple = DEFAULT_GRID
     extra_variables: int = 0
+
+    def __post_init__(self):
+        check_grid(self.grid)
+        _check_extra_variables(self.extra_variables)
 
 
 Regime = BasicRegime | DeltaRegime | WeightedRegime

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -379,17 +378,15 @@ class SuiteReport:
         }
 
 
-def run_suite(only=None, workers=4) -> SuiteReport:
-    claims = [c for c in _registry()
-              if only is None or c.claim_id.startswith(only)]
-
-    def run_one(claim):
+def run_suite(only=None) -> SuiteReport:
+    """Run the claims serially, so each claim's elapsed time is its own."""
+    results = []
+    for claim in _registry():
+        if only is not None and not claim.claim_id.startswith(only):
+            continue
         start = time.perf_counter()
         observed, fingerprint = claim.run()
-        return ClaimResult(claim.claim_id, claim.expected, observed,
-                           fingerprint, time.perf_counter() - start)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_one, claims))
+        results.append(ClaimResult(claim.claim_id, claim.expected, observed,
+                                   fingerprint, time.perf_counter() - start))
     results.sort(key=lambda r: r.claim_id)
     return SuiteReport(results)

@@ -7,115 +7,135 @@ All evaluation happens on core trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 # --- AST nodes ---------------------------------------------------------------
 
 class Formula:
     """Base class for surface formulas. Core formulas are the subset built
-    from Var, Not, And and PrefWeak only."""
-    __slots__ = ()
+    from Var, Not, And and PrefWeak only.
+
+    Formulas are dict keys throughout the search, so each node computes its
+    structural hash once and keeps it in the _hash slot.
+    """
+    __slots__ = ("_hash",)
 
     def __str__(self):
         return pretty(self)
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            # the value the generated dataclass hash would give
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
-@dataclass(frozen=True, slots=True)
+
+def _node(cls):
+    """A frozen slotted dataclass that keeps Formula's cached hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PrefWeak(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PrefStrict(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PrefEq(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PrefWeakRev(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PrefStrictRev(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Box(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Diamond(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Oblig(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Perm(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class CondOblig(Formula):
     condition: Formula
     duty: Formula
@@ -213,10 +233,27 @@ _PREF_OPS = {
 _FORMULA_START = {"~", "[]", "<>", "O", "P", "C", "T", "F", "(", "ident"}
 
 
+#: Deepest formula accepted. Parsing, desugaring, printing and evaluation
+#: recurse once or a few times per level of a tree, so deeper input would
+#: exhaust the interpreter's stack.
+MAX_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """Parse one level deeper, refusing input nested beyond MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
+        f = parse()
+        self.depth -= 1
+        return f
 
     def peek(self):
         return self.tokens[self.pos]
@@ -267,7 +304,7 @@ class _Parser:
         left = self.parse_or()
         if self.peek()[0] == "->":
             self.advance()
-            return Implies(left, self.parse_implies())
+            return Implies(left, self.nested(self.parse_implies))
         return left
 
     def parse_or(self):
@@ -288,19 +325,19 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "~":
             self.advance()
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary))
         if tok[0] == "[]":
             self.advance()
-            return Box(self.parse_unary())
+            return Box(self.nested(self.parse_unary))
         if tok[0] == "<>":
             self.advance()
-            return Diamond(self.parse_unary())
+            return Diamond(self.nested(self.parse_unary))
         if tok[0] == "O":
             self.advance()
-            return Oblig(self.parse_unary())
+            return Oblig(self.nested(self.parse_unary))
         if tok[0] == "P":
             self.advance()
-            return Perm(self.parse_unary())
+            return Perm(self.nested(self.parse_unary))
         return self.parse_atom()
 
     def parse_atom(self):
@@ -317,14 +354,14 @@ class _Parser:
         if tok[0] == "C":
             self.advance()
             self.expect("(")
-            first = self.parse_pref()
+            first = self.nested(self.parse_pref)
             self.expect(",")
-            second = self.parse_pref()
+            second = self.nested(self.parse_pref)
             self.expect(")")
             return CondOblig(first, second)
         if tok[0] == "(":
             self.advance()
-            f = self.parse_pref()
+            f = self.nested(self.parse_pref)
             self.expect(")")
             return f
         raise ParseError(
@@ -335,9 +372,15 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a surface formula.
 
-    Raises ParseError (with byte offset and expected-token set) on bad input.
+    Raises ParseError (with byte offset and expected-token set) on bad input,
+    including formulas deeper than MAX_DEPTH.
     """
-    return _Parser(text).parse()
+    f = _Parser(text).parse()
+    if height(f) > MAX_DEPTH:
+        # chains of left-associative operators deepen the tree without
+        # nesting the parser
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
+    return f
 
 
 # --- Printing ----------------------------------------------------------------
@@ -418,6 +461,22 @@ def surface_variables(f: Formula) -> set[str]:
         elif not isinstance(g, (Top, Bot)):
             stack.extend((g.left, g.right))
     return out
+
+
+def height(f: Formula) -> int:
+    """Number of nodes on the longest root-to-leaf path of a formula."""
+    best = 0
+    stack = [(f, 1)]
+    while stack:
+        g, level = stack.pop()
+        best = max(best, level)
+        if isinstance(g, (Not, Box, Diamond, Oblig, Perm)):
+            stack.append((g.child, level + 1))
+        elif isinstance(g, CondOblig):
+            stack.extend(((g.condition, level + 1), (g.duty, level + 1)))
+        elif not isinstance(g, (Var, Top, Bot)):
+            stack.extend(((g.left, level + 1), (g.right, level + 1)))
+    return best
 
 
 def top_variable(*formulas: Formula) -> str:

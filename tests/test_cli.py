@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import deolog
 
 DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
@@ -33,6 +35,11 @@ class TestParseCommand:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 3
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        r = run_cli("parse", "(" * 400 + "p" + ")" * 400)
+        assert r.returncode == 3
+        assert "nested deeper" in r.stderr
 
 
 class TestEvalCommand:
@@ -107,6 +114,22 @@ class TestCheckCommand:
     def test_bad_class(self):
         r = run_cli("check", "|- O p", "--regime", "weighted",
                     "--class", "p>")
+        assert r.returncode == 3
+
+    @pytest.mark.parametrize("grid", ["0..2", "3..1", "-1,2"])
+    def test_bad_grid(self, grid):
+        r = run_cli("check", "O p |- O(p & q) | O(p & ~q)", "--regime",
+                    "weighted", "--grid", grid)
+        assert r.returncode == 3
+        assert "grid" in r.stderr
+
+    def test_zero_max_worlds(self):
+        r = run_cli("check", "|- p", "--regime", "basic",
+                    "--max-worlds", "0")
+        assert r.returncode == 3
+
+    def test_negative_extra_vars(self):
+        r = run_cli("check", "|- O p", "--extra-vars", "-1")
         assert r.returncode == 3
 
 

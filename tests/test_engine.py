@@ -1,10 +1,14 @@
-import pytest
+import itertools
+import random
 
-from deolog.syntax import parse
-from deolog.models import holds_at
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deolog.syntax import And, Not, PrefWeak, Var, parse
+from deolog.models import Evaluator, Model, holds_at, powerset_worlds
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
-    WeightedRegime
-from deolog.engine import (BudgetExceeded, EngineConfig, Sequent, check,
+    WeightedRegime, delta_minimal, p_nearest
+from deolog.engine import (BudgetExceeded, EngineConfig, Goal, Sequent, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable, verify_weight_robust)
@@ -129,6 +133,24 @@ class TestForallWeights:
         v = check_forall_weights_invalidity(Sequent.parse("P p |- P O p"))
         assert v.kind == "invalid"
 
+    def test_ladder_rungs_weigh_their_own_universe(self):
+        # the rungs with fresh variables used to be searched with weightings
+        # of the base universe, which raised KeyError: '_x0'
+        v = check_forall_weights_invalidity(
+            Sequent.parse("O p |- O(p & q) | O(p & ~q)"), grid=(1, 2, 3))
+        assert v.kind in ("invalid", "unknown")
+        m = v.countermodel
+        if m is not None and m.weights is not None:
+            assert all(m.weights[x] > 0 for x in m.universe)
+            for (w, prop), pick in m.selection.items():
+                assert pick in p_nearest(m.weights, w, prop)
+
+    @pytest.mark.parametrize("grid", [(), (0, 1, 2), (-1, 1)])
+    def test_grid_must_be_positive(self, grid):
+        with pytest.raises(ValueError):
+            check_forall_weights_invalidity(Sequent.parse("O p |- O q"),
+                                            grid=grid)
+
 
 class TestSatisfiable:
     def test_chisholm(self):
@@ -185,3 +207,71 @@ class TestBudgets:
     def test_basic_search_none_when_valid(self):
         assert find_countermodel_basic(
             Sequent.parse("|- ~(O p & O ~p)").goal(), 4) is None
+
+
+# --- The compiled bitmask evaluator -------------------------------------------
+
+def _core_formulas(names):
+    return st.recursive(
+        st.sampled_from([Var(n) for n in names]),
+        lambda kids: st.one_of(st.builds(Not, kids),
+                               st.builds(And, kids, kids),
+                               st.builds(PrefWeak, kids, kids)),
+        max_leaves=10)
+
+
+def _filled_delta_model(universe, rng):
+    """A random delta model whose selection has a delta-based pick in every
+    cell."""
+    worlds = powerset_worlds(universe)
+    utility = {w: rng.randrange(len(worlds)) for w in worlds}
+    selection = {}
+    for size in range(1, len(worlds) + 1):
+        for members in itertools.combinations(worlds, size):
+            prop = frozenset(members)
+            for w in worlds:
+                selection[(w, prop)] = rng.choice(sorted(
+                    delta_minimal(w, prop), key=lambda x: x.name))
+    return Model(universe, worlds, utility, selection, "delta")
+
+
+def _goal_mask(goal, model):
+    """The compiled goal's mask over the model's worlds, resolving each
+    preference atom from the model's utility and selection."""
+    worlds = model.worlds
+    full = (1 << len(worlds)) - 1
+    values = goal.slots({v: sum(1 << j for j, w in enumerate(worlds)
+                                if v in w.members)
+                         for v in goal.variables})
+
+    def prop(mask):
+        return frozenset(w for j, w in enumerate(worlds) if mask >> j & 1)
+
+    start = 0
+    for slot, l, r in goal.atoms:
+        goal.run(values, full, start, slot)
+        left, right = values[l], values[r]
+        if not left or not right:
+            values[slot] = 0
+        elif left == right:
+            values[slot] = full
+        else:
+            u, pick = model.utility, model.selection
+            values[slot] = sum(
+                1 << j for j, w in enumerate(worlds)
+                if u[pick[(w, prop(left))]] >= u[pick[(w, prop(right))]])
+        start = slot + 1
+    goal.run(values, full, start)
+    return values[goal.root]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(formula=_core_formulas(("p", "q")), seed=st.integers(0, 2 ** 32),
+       three=st.booleans())
+def test_bitmask_evaluator_agrees_with_holds_at(formula, seed, three):
+    universe = ("p", "q", "r") if three else ("p", "q")
+    model = _filled_delta_model(universe, random.Random(seed))
+    mask = _goal_mask(Goal(formula), model)
+    ev = Evaluator(model)
+    assert [bool(mask >> j & 1) for j in range(len(model.worlds))] == \
+        [ev.holds_at(formula, w) for w in model.worlds]

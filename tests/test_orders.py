@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deolog.models import World
 from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
@@ -38,6 +41,57 @@ class TestSolveOrderConstraints:
         ranks = solve_order_constraints([ComparisonAtom(A, B, False),
                                          ComparisonAtom(B, C, True)])
         assert ranks[A] >= ranks[B] > ranks[C]
+
+
+def _floyd_warshall_ranks(atoms):
+    """The former solver, kept as the reference: longest-path closure by
+    Floyd-Warshall, O(n^3)."""
+    nodes = []
+    index = {}
+    for a in atoms:
+        for w in (a.left, a.right):
+            if w not in index:
+                index[w] = len(nodes)
+                nodes.append(w)
+    n = len(nodes)
+    neg = -math.inf
+    dist = [[neg] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for a in atoms:
+        i, j = index[a.left], index[a.right]
+        weight = 1 if a.strict else 0
+        if weight > dist[i][j]:
+            dist[i][j] = weight
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == neg:
+                continue
+            di = dist[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt > di[j]:
+                    di[j] = alt
+    if any(dist[i][i] > 0 for i in range(n)):
+        return None
+    return {nodes[i]: max(x for x in dist[i] if x != neg) for i in range(n)}
+
+
+WORLDS = [_w(str(i)) for i in range(8)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(WORLDS), st.sampled_from(WORLDS),
+                          st.booleans()), max_size=12))
+def test_solver_matches_floyd_warshall(triples):
+    atoms = [ComparisonAtom(l, r, s) for l, r, s in triples]
+    got = solve_order_constraints(atoms)
+    expected = _floyd_warshall_ranks(atoms)
+    assert got == expected
+    if got is not None:
+        assert list(got) == list(expected)
 
 
 class TestBruteforceWeakOrders:

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deolog.syntax import (And, Bot, Box, CondOblig, Diamond, Iff, Implies,
+from deolog.syntax import (MAX_DEPTH, And, Bot, Box, CondOblig, Diamond, Iff, Implies,
                            Not, Oblig, Or, ParseError, Perm, PrefStrict,
                            PrefWeak, Top, Var, desugar, is_core, modal_depth,
                            parse, pref_atoms, pref_operands, pretty,
@@ -21,6 +22,19 @@ class TestParse:
     def test_precedence(self):
         assert parse("O p -> O (p | q)") == Implies(Oblig(P),
                                                     Oblig(Or(P, Q)))
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "p" + ")" * 400,      # nested parentheses
+        "~ " * 100 + "p",                 # nested prefix operators
+        " & ".join(["p"] * 100),          # a left-deep chain
+    ])
+    def test_too_deep(self, text):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text)
+
+    def test_max_depth_accepted(self):
+        f = parse("~ " * (MAX_DEPTH - 1) + "p")
+        assert pretty(desugar(f)).count("~") == MAX_DEPTH - 1
 
     def test_truncated_input(self):
         with pytest.raises(ParseError) as exc:
@@ -192,3 +206,30 @@ class TestStructuralQueries:
         for text in ("p >= q", "p > q", "p ~~ q", "[]p", "<>p", "O p",
                      "P p", "C(p, q)"):
             assert modal_depth(desugar(parse(text))) >= 1
+
+
+_BUILDERS = {"Not": lambda a, b: Not(a), "Oblig": lambda a, b: Oblig(a),
+             "And": And, "Or": Or, "PrefWeak": PrefWeak,
+             "PrefStrict": PrefStrict, "CondOblig": CondOblig}
+
+_SPECS = st.recursive(
+    st.sampled_from(["p", "q", "r"]),
+    lambda kids: st.tuples(st.sampled_from(sorted(_BUILDERS)), kids, kids),
+    max_leaves=12)
+
+
+def _build(spec):
+    if isinstance(spec, str):
+        return Var(spec)
+    kind, a, b = spec
+    return _BUILDERS[kind](_build(a), _build(b))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_SPECS)
+def test_equal_trees_hash_and_compare_equal(spec):
+    first, second = _build(spec), _build(spec)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert hash(desugar(first, "p")) == hash(desugar(second, "p"))
