@@ -376,7 +376,7 @@ def parse(text: str) -> Formula:
     including formulas deeper than MAX_DEPTH.
     """
     f = _Parser(text).parse()
-    if height(f) > MAX_DEPTH:
+    if _height(f) > MAX_DEPTH:
         # chains of left-associative operators deepen the tree without
         # nesting the parser
         raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
@@ -463,7 +463,7 @@ def surface_variables(f: Formula) -> set[str]:
     return out
 
 
-def height(f: Formula) -> int:
+def _height(f: Formula) -> int:
     """Number of nodes on the longest root-to-leaf path of a formula."""
     best = 0
     stack = [(f, 1)]
