@@ -18,11 +18,10 @@ from .regimes import (WeightClass, BasicRegime, DeltaRegime, WeightedRegime,
                       weighted_distance, p_nearest, forced_choice,
                       enumerate_weight_orders)
 from .orders import (ComparisonAtom, solve_order_constraints,
-                     constraints_satisfiable, bruteforce_weak_orders,
-                     ordered_bell)
+                     bruteforce_weak_orders, ordered_bell)
 from .engine import (Sequent, EngineConfig, Verdict, BudgetExceeded, check,
                      satisfiable, find_countermodel_basic,
                      find_countermodel_delta, check_forall_weights_invalidity,
-                     verify_weight_robust, DEFAULT_CONFIG)
+                     DEFAULT_CONFIG)
 
 __version__ = "0.1.0"

@@ -3,8 +3,18 @@ countermodel search.
 
 A sequent premises |- conclusion is refuted by a model and a witness world
 satisfying every premise but not the conclusion, so every decision reduces to
-bounded satisfiability of the goal formula premises & ~conclusion. Two
-backends find falsifying utilities: a rank-constraint solver (exact for
+bounded satisfiability of the goal formula premises & ~conclusion: check and
+satisfiable hand their goal to one search, _find, which tries the rungs of
+the regime's retry ladder in order and stops at the first model. The ladder
+of basic is its frames, up to max_worlds worlds; of delta, the goal's
+variables plus e, e+1 and e+2 fresh ones, e being the regime's extra
+variables (the base rung); of weighted, those rungs with forced picks, which
+are nearest under every weighting, then each weighting on the base rung. A
+budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables) raises
+BudgetExceeded in a rung and only _find catches it; with the base rung cut,
+no model means qualified-valid to check and unknown to satisfiable.
+
+Two backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
 exhaustive weak-order enumeration (any depth). Every countermodel is
 re-verified by direct evaluation before it is reported.
@@ -21,19 +31,27 @@ admissibility policies and to build the reported Model.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax
 from .syntax import (And, Formula, Not, PrefWeak, Var, desugar, modal_depth,
                      parse, top_variable, variables)
-from .models import Model, World, holds_at, make_worlds, powerset_worlds
+from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
+                     powerset_worlds)
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
 from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
                       WeightedRegime, check_grid, delta_minimal,
                       enumerate_weight_orders, forced_choice, p_nearest)
+
+# the most worlds the weak-order oracle enumerates orders on
+ORACLE_WORLD_CAP = 6
+# rungs of the retry ladder: the base rung, then one and two more fresh
+# variables
+LADDER_RUNGS = 3
 
 
 class BudgetExceeded(Exception):
@@ -55,29 +73,24 @@ class Sequent:
 
     def goal(self, strict_def7=False) -> Formula:
         """Core formula satisfied exactly where the sequent is refuted."""
-        top = top_variable(*self.premises, self.conclusion)
-        parts = [desugar(p, top, strict_def7) for p in self.premises]
-        parts.append(Not(desugar(self.conclusion, top, strict_def7)))
-        return _fold_and(parts)
+        return _conjoin([*self.premises, Not(self.conclusion)], strict_def7)
 
     def __str__(self):
         left = " ; ".join(syntax.pretty(p) for p in self.premises)
         return f"{left} |- {syntax.pretty(self.conclusion)}".strip()
 
 
-def _fold_and(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+def _conjoin(formulas, strict_def7) -> Formula:
+    """The core conjunction of the surface formulas, left-nested, with T and
+    F lowered over the same variable in all of them."""
+    top = top_variable(*formulas)
+    return functools.reduce(And, [desugar(f, top, strict_def7)
+                                  for f in formulas])
 
 
 @dataclass
 class EngineConfig:
     strict_def7: bool = False
-    var_cap: int = 12
-    oracle_world_cap: int = 6
-    retry_extras: tuple = (1, 2)
     force_backend: str | None = None   # 'solver' | 'oracle' | None (auto)
 
 
@@ -94,10 +107,6 @@ class Verdict:
     weighting: dict | None = None
     strategy: str | None = None
     detail: str | None = None
-
-    @property
-    def is_positive(self):
-        return self.kind in ("valid", "qualified-valid", "sat")
 
     def exit_code(self):
         if self.kind in ("valid", "qualified-valid", "sat"):
@@ -141,11 +150,11 @@ class Goal:
     """A core goal formula compiled once per decision.
 
     Every distinct subformula gets a slot, children before parents, so the
-    preference atoms come innermost first, in the order of pref_atoms. A
-    proposition is an int bitmask: over world indices in the oracle, over
-    truth assignments of the free preference atoms in the rank solver. run()
-    is the one evaluator both backends use: the caller fills the variable
-    and preference slots, run() fills the Not and And slots.
+    preference atoms come innermost first. A proposition is an int bitmask:
+    over world indices in the oracle, over truth assignments of the free
+    preference atoms in the rank solver. run() is the one evaluator both
+    backends use: the caller fills the variable and preference slots, run()
+    fills the Not and And slots.
     """
 
     def __init__(self, formula: Formula):
@@ -323,14 +332,13 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
     return None
 
 
-def _oracle_search(universe, worlds, goal, admissible, mode, world_cap,
-                   weights=None):
+def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
     """Any-depth backend: enumerate weak orders on the worlds, then resolve
     preference atoms stratum by stratum (innermost operands first), branching
     over admissible picks for each selection cell as it arises."""
-    if len(worlds) > world_cap:
+    if len(worlds) > ORACLE_WORLD_CAP:
         raise BudgetExceeded(
-            f"{len(worlds)} worlds exceeds oracle cap {world_cap}")
+            f"{len(worlds)} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
     n = len(worlds)
     full = (1 << n) - 1
     atoms = goal.atoms
@@ -428,8 +436,7 @@ def _search_worlds(universe, worlds, goal, admissible, mode, config,
             raise ValueError("solver backend requires modal depth <= 1")
         return _solver_search(universe, worlds, goal, admissible, mode,
                               weights)
-    return _oracle_search(universe, worlds, goal, admissible, mode,
-                          config.oracle_world_cap, weights)
+    return _oracle_search(universe, worlds, goal, admissible, mode, weights)
 
 
 # --- Regime searchers --------------------------------------------------------
@@ -463,12 +470,12 @@ def _fresh_variables(base, count):
     return out
 
 
-def _delta_universe(base_vars, extra, config):
+def _delta_universe(base_vars, extra):
     universe = sorted(set(base_vars) | set(_fresh_variables(base_vars, extra)))
-    if len(universe) > config.var_cap:
+    if len(universe) > MAX_UNIVERSE:
         raise BudgetExceeded(
             f"universe of {len(universe)} variables exceeds cap "
-            f"{config.var_cap}")
+            f"{MAX_UNIVERSE}")
     return tuple(universe)
 
 
@@ -477,108 +484,121 @@ def find_countermodel_delta(goal, extra_vars=0, config=DEFAULT_CONFIG,
     """Search delta models over the goal's variables plus extra_vars fresh
     ones (power-set worlds, delta-based selection, free utility)."""
     goal = Goal.of(goal)
-    universe = _delta_universe(goal.variables, extra_vars, config)
+    universe = _delta_universe(goal.variables, extra_vars)
     worlds = powerset_worlds(universe)
     return _search_worlds(universe, worlds, goal, admissible, "delta",
                           config, weights)
 
 
-def _ladder(base_extra, config):
-    """Extra-variable counts of the retry ladder, base rung first."""
-    return [base_extra] + [base_extra + k for k in config.retry_extras]
+# --- The retry ladder ----------------------------------------------------------
+
+def _budgeted(search, *args):
+    """(search(*args), True), or (None, False) when a budget cuts it."""
+    try:
+        return search(*args), True
+    except BudgetExceeded:
+        return None, False
 
 
-def _delta_ladder(goal, base_extra, config, admissible, weights=None):
-    """Countermodel search with the extra-variable retry ladder. Returns
-    (found, extras_completed, budget_limited)."""
-    completed = []
-    limited = False
-    for extra in _ladder(base_extra, config):
-        try:
-            found = find_countermodel_delta(goal, extra, config, admissible,
-                                            weights)
-        except BudgetExceeded:
-            limited = True
-            continue
-        completed.append(extra)
+def _delta_ladder(goal, base_extra, config, admissible):
+    """Search the delta rungs of the retry ladder in order. Returns the first
+    (model, world) found or None, and the extra-variable counts of the rungs
+    searched to the end."""
+    searched = []
+    for extra in range(base_extra, base_extra + LADDER_RUNGS):
+        found, done = _budgeted(find_countermodel_delta, goal, extra, config,
+                                admissible)
+        if done:
+            searched.append(extra)
         if found:
-            return found, completed, limited
-    return None, completed, limited
+            return found, searched
+    return None, searched
+
+
+class _Search(NamedTuple):
+    found: tuple | None     # the first (model, world) satisfying the goal
+    fingerprint: dict       # the bounds searched
+    fields: dict            # strategy, weight_robust, weighting of the model
+    complete: bool          # whether the base rung was searched to the end
+    bounded: bool = False   # a complete search proves only its bound
+
+    def verdict(self, found, none, cut) -> Verdict:
+        """A verdict of kind found if a model was found, else of kind cut if
+        a budget cut the base rung, else of kind none."""
+        if self.found:
+            return Verdict(found, self.fingerprint, *self.found, **self.fields)
+        if not self.complete:
+            return Verdict(cut, self.fingerprint,
+                           detail="budget exceeded before the base search")
+        return Verdict(none, self.fingerprint)
+
+
+def _find(goal, regime, config) -> _Search:
+    """Search the regime's retry ladder for a model and a world satisfying
+    the goal; the one place budgets are caught."""
+    if isinstance(regime, BasicRegime):
+        found, complete = _budgeted(find_countermodel_basic, goal,
+                                    regime.max_worlds, config)
+        # no small-model bound is known for the basic regime
+        return _Search(found, {"regime": "basic",
+                               "max_worlds": regime.max_worlds},
+                       {}, complete, bounded=True)
+    if isinstance(regime, DeltaRegime):
+        base = regime.extra_variables
+        found, searched = _delta_ladder(goal, base, config, admissible_delta)
+        return _Search(found, {"regime": "delta", "extra_vars": base,
+                               "extras_searched": searched},
+                       {}, base in searched)
+    if not isinstance(regime, WeightedRegime):
+        raise TypeError(f"unknown regime {regime!r}")
+    fingerprint = {"regime": "weighted", "class": str(regime.weight_class),
+                   "grid": list(regime.grid),
+                   "extra_vars": regime.extra_variables}
+    universe, complete = _budgeted(
+        _delta_universe, set(goal.variables) | regime.weight_class.variables(),
+        regime.extra_variables)
+    if not complete:
+        return _Search(None, fingerprint, {}, False)
+    weightings = enumerate_weight_orders(universe, regime.weight_class,
+                                         regime.grid)
+    if not weightings:
+        raise ValueError("weight class unsatisfiable on the grid")
+    fingerprint["weightings"] = len(weightings)
+    # a forced-pick model satisfies the goal under every weighting
+    found, _ = _delta_ladder(goal, regime.extra_variables, config,
+                             admissible_forced)
+    if found:
+        return _Search(found, fingerprint,
+                       {"weight_robust": True, "strategy": "forced"}, True)
+    worlds = powerset_worlds(universe)
+    for weighting in weightings:
+        found, complete = _budgeted(
+            _search_worlds, universe, worlds, goal,
+            admissible_weighted(weighting), "delta", config, weighting)
+        if not complete:
+            break
+        if found:
+            return _Search(found, fingerprint,
+                           {"weight_robust": False, "weighting": weighting,
+                            "strategy": "per-weighting"}, True)
+    return _Search(None, fingerprint, {}, complete)
 
 
 # --- Verdict-producing operations --------------------------------------------
 
 def check(sequent: Sequent, regime, config=DEFAULT_CONFIG) -> Verdict:
-    """Decide the sequent in the given regime."""
-    goal = Goal(sequent.goal(config.strict_def7))
-    if isinstance(regime, BasicRegime):
-        return _check_basic(goal, regime, config)
-    if isinstance(regime, DeltaRegime):
-        return _check_delta(goal, regime, config)
-    if isinstance(regime, WeightedRegime):
-        return _check_weighted(goal, regime, config)
-    raise TypeError(f"unknown regime {regime!r}")
+    """Decide the sequent in the given regime: a model and a world satisfying
+    its goal refute it."""
+    search = _find(Goal(sequent.goal(config.strict_def7)), regime, config)
+    return search.verdict("invalid", "qualified-valid" if search.bounded
+                          else "valid", "qualified-valid")
 
 
-def _check_basic(goal, regime, config):
-    fingerprint = {"regime": "basic", "max_worlds": regime.max_worlds}
-    found = find_countermodel_basic(goal, regime.max_worlds, config)
-    if found:
-        model, w = found
-        return Verdict("invalid", fingerprint, model, w)
-    # no small-model bound is known for the basic regime, so exhaustion up
-    # to the bound is reported as qualified validity
-    return Verdict("qualified-valid", fingerprint)
-
-
-def _check_delta(goal, regime, config):
-    base = regime.extra_variables
-    found, completed, limited = _delta_ladder(goal, base, config,
-                                              admissible_delta)
-    fingerprint = {"regime": "delta", "extra_vars": base,
-                   "extras_searched": completed}
-    if found:
-        model, w = found
-        return Verdict("invalid", fingerprint, model, w)
-    if base not in completed:
-        return Verdict("qualified-valid", fingerprint,
-                       detail="budget exceeded before the base search")
-    return Verdict("valid", fingerprint)
-
-
-def _weighted_universe(goal, regime, config):
-    base = set(goal.variables) | regime.weight_class.variables()
-    return _delta_universe(sorted(base), regime.extra_variables, config)
-
-
-def _check_weighted(goal, regime, config):
-    universe = _weighted_universe(goal, regime, config)
-    weightings = enumerate_weight_orders(universe, regime.weight_class,
-                                         regime.grid)
-    if not weightings:
-        raise ValueError("weight class unsatisfiable on the grid")
-    fingerprint = {"regime": "weighted", "class": str(regime.weight_class),
-                   "grid": list(regime.grid),
-                   "extra_vars": regime.extra_variables,
-                   "weightings": len(weightings)}
-    # a forced-pick countermodel refutes the sequent under every weighting
-    found, _, _ = _delta_ladder(goal, regime.extra_variables, config,
-                                admissible_forced)
-    if found:
-        model, w = found
-        return Verdict("invalid", fingerprint, model, w, weight_robust=True,
-                       strategy="forced")
-    worlds = powerset_worlds(universe)
-    for weighting in weightings:
-        found = _search_worlds(universe, worlds, goal,
-                               admissible_weighted(weighting), "delta",
-                               config, weights=weighting)
-        if found:
-            model, w = found
-            return Verdict("invalid", fingerprint, model, w,
-                           weight_robust=False, weighting=weighting,
-                           strategy="per-weighting")
-    return Verdict("valid", fingerprint)
+def satisfiable(formulas, regime, config=DEFAULT_CONFIG) -> Verdict:
+    """Search for a model of the regime and a world satisfying every given
+    surface formula."""
+    goal = Goal(_conjoin(formulas, config.strict_def7))
+    return _find(goal, regime, config).verdict("sat", "unsat", "unknown")
 
 
 def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
@@ -589,83 +609,35 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
     rung's universe."""
     grid = DEFAULT_GRID if grid is None else check_grid(grid)
     goal = Goal(sequent.goal(config.strict_def7))
-    found, _, _ = _delta_ladder(goal, extra_vars, config, admissible_forced)
+    found, _ = _delta_ladder(goal, extra_vars, config, admissible_forced)
     fingerprint = {"regime": "forall-weights", "grid": list(grid),
                    "extra_vars": extra_vars}
     if found:
-        model, w = found
-        return Verdict("invalid", fingerprint, model, w, weight_robust=True,
+        return Verdict("invalid", fingerprint, *found, weight_robust=True,
                        strategy="forced")
-    for extra in _ladder(extra_vars, config):
-        try:
-            universe = _delta_universe(goal.variables, extra, config)
-            weightings = enumerate_weight_orders(universe, WeightClass(),
-                                                 grid)
-            fingerprint["weightings"] = len(weightings)
-            first = None
-            for weighting in weightings:
-                found = find_countermodel_delta(
-                    goal, extra, config, admissible_weighted(weighting),
-                    weighting)
-                if not found:
-                    break
-                first = first or found
-            else:
-                model, w = first
-                return Verdict("invalid", fingerprint, model, w,
-                               weight_robust=False, strategy="per-weighting")
-        except BudgetExceeded:
-            continue
+    for extra in range(extra_vars, extra_vars + LADDER_RUNGS):
+        found, _ = _budgeted(_countermodel_per_weighting, goal, extra, grid,
+                             config, fingerprint)
+        if found:
+            return Verdict("invalid", fingerprint, *found,
+                           weight_robust=False, strategy="per-weighting")
     return Verdict("unknown", fingerprint,
                    detail="no rung of the ladder has a countermodel for "
                           "every weighting")
 
 
-def satisfiable(formulas, regime, config=DEFAULT_CONFIG) -> Verdict:
-    """Search for a model of the regime and a world satisfying every given
-    surface formula."""
-    top = top_variable(*formulas)
-    goal = Goal(_fold_and([desugar(f, top, config.strict_def7)
-                           for f in formulas]))
-    if isinstance(regime, BasicRegime):
-        fingerprint = {"regime": "basic", "max_worlds": regime.max_worlds}
-        found = find_countermodel_basic(goal, regime.max_worlds, config)
-    elif isinstance(regime, DeltaRegime):
-        fingerprint = {"regime": "delta",
-                       "extra_vars": regime.extra_variables}
-        found = find_countermodel_delta(goal, regime.extra_variables, config)
-    elif isinstance(regime, WeightedRegime):
-        universe = _weighted_universe(goal, regime, config)
-        weightings = enumerate_weight_orders(universe, regime.weight_class,
-                                             regime.grid)
-        if not weightings:
-            raise ValueError("weight class unsatisfiable on the grid")
-        fingerprint = {"regime": "weighted",
-                       "class": str(regime.weight_class),
-                       "grid": list(regime.grid)}
-        worlds = powerset_worlds(universe)
-        found = None
-        for weighting in weightings:
-            found = _search_worlds(universe, worlds, goal,
-                                   admissible_weighted(weighting), "delta",
-                                   config, weights=weighting)
-            if found:
-                break
-    else:
-        raise TypeError(f"unknown regime {regime!r}")
-    if found:
-        model, w = found
-        return Verdict("sat", fingerprint, model, w)
-    return Verdict("unsat", fingerprint)
-
-
-def verify_weight_robust(model: Model, samples=50, seed=0) -> bool:
-    """Randomized check that every defined selection cell stays admissible
-    under random weightings (hence the model remains a countermodel)."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        weighting = {v: rng.randint(1, 9) for v in model.universe}
-        for (w, prop), pick in model.selection.items():
-            if pick not in p_nearest(weighting, w, prop):
-                return False
-    return True
+def _countermodel_per_weighting(goal, extra, grid, config, fingerprint):
+    """The first of one countermodel on the rung per weighting of its
+    universe, or None when some weighting has none."""
+    universe = _delta_universe(goal.variables, extra)
+    weightings = enumerate_weight_orders(universe, WeightClass(), grid)
+    fingerprint["weightings"] = len(weightings)
+    first = None
+    for weighting in weightings:
+        found = find_countermodel_delta(goal, extra, config,
+                                        admissible_weighted(weighting),
+                                        weighting)
+        if not found:
+            return None
+        first = first or found
+    return first

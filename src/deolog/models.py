@@ -97,7 +97,7 @@ class Model:
     utility: dict          # World -> int rank
     selection: dict        # (World, frozenset[World]) -> World
     mode: str = "basic"
-    weights: dict | None = None   # variable -> Fraction, optional
+    weights: dict | None = None   # variable -> positive weight, optional
 
     def __post_init__(self):
         self.universe = tuple(self.universe)

@@ -50,12 +50,6 @@ def solve_order_constraints(atoms) -> dict | None:
     return rank
 
 
-def constraints_satisfiable(constraints) -> dict | None:
-    """Convenience wrapper: constraints as (left, right, strict) triples."""
-    return solve_order_constraints(
-        [ComparisonAtom(l, r, s) for l, r, s in constraints])
-
-
 def _ordered_partitions(items):
     if not items:
         yield []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .models import World, symmetric_difference
 
@@ -106,9 +105,6 @@ class WeightedRegime:
         _check_extra_variables(self.extra_variables)
 
 
-Regime = BasicRegime | DeltaRegime | WeightedRegime
-
-
 def check_weighting(weighting, universe):
     for v in universe:
         if v not in weighting:
@@ -137,9 +133,9 @@ def is_delta_based(model) -> bool:
                for (w, prop), pick in model.selection.items())
 
 
-def weighted_distance(weighting, w0: World, w1: World) -> Fraction:
-    return sum((Fraction(weighting[v]) for v in symmetric_difference(w0, w1)),
-               Fraction(0))
+def weighted_distance(weighting, w0: World, w1: World):
+    """The sum of the weights of the variables on which w0 and w1 differ."""
+    return sum(weighting[v] for v in symmetric_difference(w0, w1))
 
 
 def p_nearest(weighting, w: World, prop: frozenset) -> frozenset:
@@ -201,5 +197,5 @@ def enumerate_weight_orders(universe, weight_class: WeightClass,
         if sig in seen:
             continue
         seen.add(sig)
-        out.append({v: Fraction(x) for v, x in weighting.items()})
+        out.append(weighting)
     return out

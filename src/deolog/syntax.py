@@ -583,46 +583,3 @@ def modal_depth(f: Formula) -> int:
     if isinstance(f, PrefWeak):
         return 1 + max(modal_depth(f.left), modal_depth(f.right))
     raise TypeError(f"not a core formula: {f!r}")
-
-
-def pref_operands(f: Formula) -> list[Formula]:
-    """Every operand of every preference node in a core formula, structurally
-    deduplicated, innermost operands first."""
-    seen = {}
-
-    def walk(g):
-        if isinstance(g, Not):
-            walk(g.child)
-        elif isinstance(g, And):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, PrefWeak):
-            walk(g.left)
-            walk(g.right)
-            for side in (g.left, g.right):
-                if side not in seen:
-                    seen[side] = None
-
-    walk(f)
-    return list(seen)
-
-
-def pref_atoms(f: Formula) -> list[PrefWeak]:
-    """Every preference node in a core formula, deduplicated, innermost
-    first."""
-    seen = {}
-
-    def walk(g):
-        if isinstance(g, Not):
-            walk(g.child)
-        elif isinstance(g, And):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, PrefWeak):
-            walk(g.left)
-            walk(g.right)
-            if g not in seen:
-                seen[g] = None
-
-    walk(f)
-    return list(seen)

@@ -8,6 +8,8 @@ import pytest
 import deolog
 
 DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
+# 13 variables: one more than a universe may hold
+OVER_CAP = " & ".join("abcdefghijklm")
 
 
 def run_cli(*args, **kw):
@@ -132,6 +134,19 @@ class TestCheckCommand:
         r = run_cli("check", "|- O p", "--extra-vars", "-1")
         assert r.returncode == 3
 
+    def test_weighted_oracle_budget_is_qualified_valid(self):
+        # 8 worlds exceed the oracle's cap on every rung
+        r = run_cli("check", "O O p ; q & r |- O p", "--regime", "weighted")
+        assert r.returncode == 0
+        assert "verdict: qualified-valid" in r.stdout
+        assert "note: budget exceeded" in r.stdout
+
+    def test_weighted_universe_over_cap(self):
+        r = run_cli("check", f"{OVER_CAP} |- a", "--regime", "weighted")
+        assert r.returncode == 0
+        assert "verdict: qualified-valid" in r.stdout
+        assert "note: budget exceeded" in r.stdout
+
 
 class TestSatCommand:
     def test_chisholm(self):
@@ -150,6 +165,25 @@ class TestSatCommand:
 
     def test_oblig_top(self):
         assert run_cli("sat", "O T").returncode == 1
+
+    def test_same_ladder_as_check(self):
+        # check "O O p |- O p" finds its countermodel on rung 1
+        r = run_cli("sat", "O O p", "~O p", "--json")
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert doc["verdict"] == "sat"
+        assert doc["fingerprint"]["extras_searched"] == [0, 1]
+
+    def test_oracle_budget_is_unknown(self):
+        r = run_cli("sat", "O O p", "q & r")
+        assert r.returncode == 2
+        assert "verdict: unknown" in r.stdout
+        assert "note: budget exceeded" in r.stdout
+
+    def test_weighted_universe_over_cap(self):
+        r = run_cli("sat", OVER_CAP, "--regime", "weighted")
+        assert r.returncode == 2
+        assert "verdict: unknown" in r.stdout
 
 
 class TestSuiteCommand:

@@ -4,14 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deolog.syntax import And, Not, PrefWeak, Var, parse
-from deolog.models import Evaluator, Model, holds_at, powerset_worlds
+from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
+                           desugar, modal_depth, parse)
+from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
+                           powerset_worlds)
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
-    WeightedRegime, delta_minimal, p_nearest
-from deolog.engine import (BudgetExceeded, EngineConfig, Goal, Sequent, check,
+    WeightedRegime, delta_minimal, forced_choice, p_nearest
+from deolog.engine import (_AND, _NOT, _PREF, BudgetExceeded, EngineConfig,
+                           Goal, Sequent, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
-                           satisfiable, verify_weight_robust)
+                           satisfiable)
 from deolog.documents import model_to_doc
 
 BASIC4 = BasicRegime(4)
@@ -122,7 +125,9 @@ class TestForallWeights:
         v = check_forall_weights_invalidity(Sequent.parse(text))
         assert v.kind == "invalid"
         assert v.weight_robust is True
-        assert verify_weight_robust(v.countermodel)
+        # a forced pick is nearest under every weighting
+        for (w, prop), pick in v.countermodel.selection.items():
+            assert pick == forced_choice(w, prop)
         assert _refutes(v, text)
 
     def test_validity_formula_item(self):
@@ -192,21 +197,62 @@ class TestStrictDef7:
 
 class TestBudgets:
     def test_variable_cap(self):
-        config = EngineConfig(var_cap=2)
-        v = check(Sequent.parse("O p ; q & r |- O p"), DELTA0, config)
+        # p and MAX_UNIVERSE more variables: no rung's universe fits
+        names = " & ".join(f"v{i}" for i in range(MAX_UNIVERSE))
+        v = check(Sequent.parse(f"O p ; {names} |- O p"), DELTA0)
         assert v.kind == "qualified-valid"
+        assert v.fingerprint["extras_searched"] == []
         assert v.detail is not None
         assert v.exit_code() == 0
 
     def test_oracle_world_cap(self):
         with pytest.raises(BudgetExceeded):
             find_countermodel_delta(
-                Sequent.parse("O O p ; q & r |- O p").goal(), 0,
-                EngineConfig(oracle_world_cap=6))
+                Sequent.parse("O O p ; q & r |- O p").goal(), 0)
 
     def test_basic_search_none_when_valid(self):
         assert find_countermodel_basic(
             Sequent.parse("|- ~(O p & O ~p)").goal(), 4) is None
+
+
+# --- One search for check and satisfiable --------------------------------------
+
+def _depth2(names):
+    """Surface formulas of modal depth at most 2 over the given variables."""
+    def wrap(kids):
+        return st.one_of(st.builds(Not, kids), st.builds(And, kids, kids),
+                         st.builds(Or, kids, kids), st.builds(Oblig, kids),
+                         st.builds(Perm, kids), st.builds(Diamond, kids))
+    return st.recursive(st.sampled_from([Var(n) for n in names]), wrap,
+                        max_leaves=4).filter(
+        lambda f: modal_depth(desugar(f)) <= 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(premises=st.lists(_depth2(("p", "q")), max_size=2),
+       conclusion=_depth2(("p", "q")),
+       regime=st.sampled_from([BasicRegime(2), DELTA0, WeightedRegime()]))
+def test_invalid_exactly_when_goal_satisfiable(premises, conclusion, regime):
+    checked = check(Sequent(tuple(premises), conclusion), regime)
+    sat = satisfiable(premises + [Not(conclusion)], regime)
+    assert (checked.kind == "invalid") == (sat.kind == "sat")
+    assert checked.fingerprint == sat.fingerprint
+
+
+class TestGoal:
+    def test_atoms_innermost_first(self):
+        goal = Goal(desugar(parse("O O p")))
+        built = []
+        for kind, a, b in goal.code:
+            built.append(Not(built[a]) if kind == _NOT else
+                         And(built[a], built[b]) if kind == _AND else
+                         PrefWeak(built[a], built[b]) if kind == _PREF else
+                         Var(a))
+        assert built[goal.root] == goal.formula
+        atoms = [built[slot] for slot, _, _ in goal.atoms]
+        depths = [modal_depth(a) for a in atoms]
+        assert depths == sorted(depths)
+        assert len(atoms) == len(set(atoms))
 
 
 # --- The compiled bitmask evaluator -------------------------------------------

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from deolog.models import World
 from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
-                           constraints_satisfiable, ordered_bell,
-                           solve_order_constraints)
+                           ordered_bell, solve_order_constraints)
 
 
 def _w(name):
@@ -18,20 +17,24 @@ A, B, C = _w("a"), _w("b"), _w("c")
 
 class TestSolveOrderConstraints:
     def test_strict_chain(self):
-        ranks = constraints_satisfiable([(A, B, True), (B, C, True)])
+        ranks = solve_order_constraints([ComparisonAtom(A, B, True),
+                                         ComparisonAtom(B, C, True)])
         assert ranks is not None
         assert ranks[A] > ranks[B] > ranks[C]
 
     def test_strict_two_cycle(self):
-        assert constraints_satisfiable([(A, B, True), (B, A, True)]) is None
+        assert solve_order_constraints([ComparisonAtom(A, B, True),
+                                        ComparisonAtom(B, A, True)]) is None
 
     def test_strict_edge_in_weak_cycle(self):
-        assert constraints_satisfiable(
-            [(A, B, False), (B, C, False), (C, A, True)]) is None
+        assert solve_order_constraints(
+            [ComparisonAtom(A, B, False), ComparisonAtom(B, C, False),
+             ComparisonAtom(C, A, True)]) is None
 
     def test_weak_cycle_collapses(self):
-        ranks = constraints_satisfiable(
-            [(A, B, False), (B, C, False), (C, A, False)])
+        ranks = solve_order_constraints(
+            [ComparisonAtom(A, B, False), ComparisonAtom(B, C, False),
+             ComparisonAtom(C, A, False)])
         assert ranks[A] == ranks[B] == ranks[C]
 
     def test_empty_constraint_set(self):

@@ -63,6 +63,12 @@ class TestWeightedDistance:
         assert weighted_distance(w, by["011"], by["011"]) == 0
         assert weighted_distance(w, by["000"], by["111"]) == 7
 
+    def test_fraction_weights_sum_exactly(self):
+        # document weights are Fractions, and their sums must stay exact
+        by = _worlds(("p", "q", "r"))
+        w = {v: Fraction(1, 10) for v in ("p", "q", "r")}
+        assert weighted_distance(w, by["000"], by["111"]) == Fraction(3, 10)
+
     def test_metric_laws(self):
         rng = random.Random(2)
         worlds = powerset_worlds(("p", "q", "r"))
@@ -174,7 +180,7 @@ class TestEnumerateWeightOrders:
         with pytest.raises(ValueError):
             enumerate_weight_orders(("p",), WeightClass.parse("q>p"), (1, 2))
 
-    def test_weights_are_fractions(self):
+    def test_weights_are_grid_values(self):
         reps = enumerate_weight_orders(("p",), WeightClass(), (1, 2))
-        assert len(reps) == 1
-        assert isinstance(reps[0]["p"], Fraction)
+        assert reps == [{"p": 1}]
+        assert type(reps[0]["p"]) is int

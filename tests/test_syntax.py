@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from deolog.syntax import (MAX_DEPTH, And, Bot, Box, CondOblig, Diamond, Iff, Implies,
                            Not, Oblig, Or, ParseError, Perm, PrefStrict,
                            PrefWeak, Top, Var, desugar, is_core, modal_depth,
-                           parse, pref_atoms, pref_operands, pretty,
-                           top_variable, variables)
+                           parse, pretty, top_variable, variables)
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -181,26 +180,6 @@ class TestStructuralQueries:
         assert modal_depth(desugar(parse("p & ~q"))) == 0
         assert modal_depth(desugar(parse("O p"))) == 1
         assert modal_depth(desugar(parse("O O p"))) == 2
-
-    def test_pref_operands_flat(self):
-        assert pref_operands(desugar(parse("p >= q"))) == [P, Q]
-
-    def test_pref_operands_oblig_dedup(self):
-        ops = pref_operands(desugar(Oblig(P)))
-        assert len(ops) == 2
-        assert all(isinstance(op, And) for op in ops)
-
-    def test_pref_operands_stratified(self):
-        ops = pref_operands(desugar(parse("O O p")))
-        has_pref = [modal_depth(op) > 0 for op in ops]
-        # once an operand mentions an inner preference, all later ones do too
-        assert has_pref == sorted(has_pref)
-
-    def test_pref_atoms_innermost_first(self):
-        atoms = pref_atoms(desugar(parse("O O p")))
-        depths = [modal_depth(a) for a in atoms]
-        assert depths == sorted(depths)
-        assert len(atoms) == len(set(atoms))
 
     def test_modal_depth_sugared_always_positive(self):
         for text in ("p >= q", "p > q", "p ~~ q", "[]p", "<>p", "O p",
