@@ -11,8 +11,9 @@ variables plus e, e+1 and e+2 fresh ones, e being the regime's extra
 variables (the base rung); of weighted, those rungs with forced picks, which
 are nearest under every weighting, then each weighting on the base rung. A
 budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables) raises
-BudgetExceeded in a rung and only _find catches it; with the base rung cut,
-no model means qualified-valid to check and unknown to satisfiable.
+BudgetExceeded in a rung; _budgeted alone catches it, for _find and for the
+rungs of check_forall_weights_invalidity. With the base rung cut, no model
+means qualified-valid to check and unknown to satisfiable.
 
 Two backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
@@ -490,7 +491,7 @@ def find_countermodel_delta(goal, extra_vars=0, config=DEFAULT_CONFIG,
                           config, weights)
 
 
-# --- The retry ladder ----------------------------------------------------------
+# --- The retry ladder --------------------------------------------------------
 
 def _budgeted(search, *args):
     """(search(*args), True), or (None, False) when a budget cuts it."""
@@ -535,7 +536,7 @@ class _Search(NamedTuple):
 
 def _find(goal, regime, config) -> _Search:
     """Search the regime's retry ladder for a model and a world satisfying
-    the goal; the one place budgets are caught."""
+    the goal, going on to the next rung when a budget cuts one."""
     if isinstance(regime, BasicRegime):
         found, complete = _budgeted(find_countermodel_basic, goal,
                                     regime.max_worlds, config)

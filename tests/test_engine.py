@@ -215,7 +215,7 @@ class TestBudgets:
             Sequent.parse("|- ~(O p & O ~p)").goal(), 4) is None
 
 
-# --- One search for check and satisfiable --------------------------------------
+# --- One search for check and satisfiable ------------------------------------
 
 def _depth2(names):
     """Surface formulas of modal depth at most 2 over the given variables."""
