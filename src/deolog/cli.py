@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 for positive verdicts (valid, qualified
 valid, satisfiable), 1 for negative ones, 2 for budget-limited unknowns,
-3 for usage and syntax errors.
+3 for usage and syntax errors, 4 for internal errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .proofs import check_derivation
 from .suite import run_suite
 
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,6 +201,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
+    except Exception as exc:
+        # a crash must not read as a verdict: 1 means invalid or unsat
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = EXIT_INTERNAL
     return code
 
 

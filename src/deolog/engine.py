@@ -25,8 +25,20 @@ goal's distinct subformulas, with its modal depth, preference atoms and
 backend. Both backends evaluate it on int bitmasks. The oracle reads a
 proposition as a mask over the frame's world indices; the rank solver reads
 the goal at one world as a mask over the truth assignments of the free
-preference atoms and visits only the assignments that satisfy it. Masks
-become frozensets of worlds only to key selection cells, to call the
+preference atoms and visits only the assignments that satisfy it.
+
+Under one assignment, the rank constraints of a combination of picks are
+satisfiable exactly when those of its pattern are: the pattern relabels the
+picked worlds by first occurrence, so it keeps only which cells pick the same
+world, and renaming worlds injectively keeps every cycle and strict edge. So
+the rank solver decides each (cell sides, pattern, assignment) once per Goal,
+in ascending order of assignments and none past the first that some pattern
+of the world allows. It skips the assignments no pattern allows, and under
+the others walks the combinations in order, solving only those whose pattern
+is satisfiable. It finds the same ranks and model as solving every
+combination would.
+
+Masks become frozensets of worlds only to key selection cells, to call the
 admissibility policies and to build the reported Model.
 """
 
@@ -196,6 +208,12 @@ class Goal:
         # pick from a cell
         self.later_cells = [any(l != r for _, l, r in self.atoms[i + 1:])
                             for i in range(len(self.atoms))]
+        # cell sides -> {pick pattern -> (mask of the assignments decided,
+        # mask of those under which its rank constraints are satisfiable)},
+        # filled by the rank solver. Frames of one goal may merge the cells
+        # of two atoms or not, so the same pattern can stand for different
+        # constraints under other sides.
+        self.orderable = {}
 
     @classmethod
     def of(cls, goal) -> "Goal":
@@ -264,6 +282,23 @@ def _assignment_masks(k):
     return masks
 
 
+def _pattern(combo):
+    """The picks of a combination relabelled by first occurrence: which
+    cells pick the same world, and nothing else."""
+    return tuple(map(list(dict.fromkeys(combo)).index, combo))
+
+
+def _rank_constraints(sides, t, combo):
+    """The comparison atoms that give each free atom its truth value in
+    assignment t, the first atom being its highest bit: left pick >= right
+    pick where true, else right pick > left pick."""
+    k = len(sides)
+    return [ComparisonAtom(combo[li], combo[ri], False)
+            if t >> (k - 1 - i) & 1
+            else ComparisonAtom(combo[ri], combo[li], True)
+            for i, (li, ri) in enumerate(sides)]
+
+
 # --- Search over a fixed world frame -----------------------------------------
 
 def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
@@ -297,8 +332,31 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
         for cell in (left, right):
             if cell not in cells:
                 cells.append(cell)
-    sides = [(cells.index(left), cells.index(right)) for _, left, right in free]
+    sides = tuple((cells.index(left), cells.index(right))
+                  for _, left, right in free)
     index = {w: j for j, w in enumerate(worlds)}
+    decided = goal.orderable.setdefault(sides, {})
+
+    def first_allowed(pattern, assignments):
+        """The lowest assignment in the mask assignments under which some
+        utility gives the free atoms their truth values when the cells pick
+        as pattern says, as a one-bit mask, or 0: the answer of every
+        combination of picks with that pattern. Assignments are decided in
+        ascending order, and none above that one."""
+        done, ok = decided.get(pattern, (0, 0))
+        todo = assignments & ~done
+        if todo:
+            while todo and not ok & assignments & ((todo & -todo) - 1):
+                low = todo & -todo
+                todo ^= low
+                done |= low
+                if solve_order_constraints(_rank_constraints(
+                        sides, low.bit_length() - 1, pattern)) is not None:
+                    ok |= low
+            decided[pattern] = (done, ok)
+        allowed = ok & assignments
+        return allowed & -allowed
+
     for w in worlds:
         values = goal.slots({v: everything if v in w.members else 0
                              for v in goal.variables})
@@ -313,16 +371,25 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
             continue
         # the solver ranks world indices, which hash cheaply
         pick_lists = [[index[x] for x in picks] for picks in pick_lists]
-        for t in _bits(satisfying):
-            bits = [(t >> (k - 1 - i)) & 1 for i in range(k)]
+        patterns = set(map(_pattern, itertools.product(*pick_lists)))
+        remaining = satisfying
+        while remaining:
+            # the lowest remaining assignment some pattern allows (best),
+            # and each pattern's lowest up to the best found before it
+            best, limit, firsts = 0, remaining, {}
+            for pattern in patterns:
+                first = firsts[pattern] = first_allowed(pattern, limit)
+                if first:
+                    best, limit = first, remaining & ((first << 1) - 1)
+            if not best:
+                break
+            remaining &= ~((best << 1) - 1)
+            t = best.bit_length() - 1
             for combo in itertools.product(*pick_lists):
-                constraints = [
-                    ComparisonAtom(combo[li], combo[ri], False) if value
-                    else ComparisonAtom(combo[ri], combo[li], True)
-                    for (li, ri), value in zip(sides, bits)]
-                ranks = solve_order_constraints(constraints)
-                if ranks is None:
+                if firsts[_pattern(combo)] != best:
                     continue
+                ranks = solve_order_constraints(
+                    _rank_constraints(sides, t, combo))
                 utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
                 selection = {(w, cell): worlds[j]
                              for cell, j in zip(cells, combo)}
@@ -598,6 +665,8 @@ def check(sequent: Sequent, regime, config=DEFAULT_CONFIG) -> Verdict:
 def satisfiable(formulas, regime, config=DEFAULT_CONFIG) -> Verdict:
     """Search for a model of the regime and a world satisfying every given
     surface formula."""
+    if not formulas:
+        raise ValueError("satisfiable needs at least one formula")
     goal = Goal(_conjoin(formulas, config.strict_def7))
     return _find(goal, regime, config).verdict("sat", "unsat", "unknown")
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import deolog
+from deolog import cli
 
 DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
 # 13 variables: one more than a universe may hold
@@ -184,6 +185,21 @@ class TestSatCommand:
         r = run_cli("sat", OVER_CAP, "--regime", "weighted")
         assert r.returncode == 2
         assert "verdict: unknown" in r.stdout
+
+    def test_no_formula_is_a_usage_error(self):
+        # used to crash in engine._conjoin and exit 1, which reads as unsat
+        r = run_cli("sat", ";")
+        assert r.returncode == 3
+        assert "at least one formula" in r.stderr
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check", crash)
+    assert cli.main(["check", "|- p"]) == 4
+    assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
 
 
 class TestSuiteCommand:

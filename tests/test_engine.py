@@ -1,21 +1,28 @@
 import itertools
+import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import deolog
+from deolog import engine
 from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
                            desugar, modal_depth, parse)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
-                           powerset_worlds)
+                           make_worlds, powerset_worlds)
+from deolog.orders import ComparisonAtom, solve_order_constraints
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
 from deolog.engine import (_AND, _NOT, _PREF, BudgetExceeded, EngineConfig,
-                           Goal, Sequent, check,
+                           Goal, Sequent, _assignment_masks, _bits, _Props,
+                           _solver_search, _world_masks, admissible_basic,
+                           admissible_delta, admissible_weighted, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
-from deolog.documents import model_to_doc
+from deolog.documents import load_derivation, model_to_doc
+from deolog.proofs import check_derivation
 
 BASIC4 = BasicRegime(4)
 DELTA0 = DeltaRegime(0)
@@ -321,3 +328,132 @@ def test_bitmask_evaluator_agrees_with_holds_at(formula, seed, three):
     ev = Evaluator(model)
     assert [bool(mask >> j & 1) for j in range(len(model.worlds))] == \
         [ev.holds_at(formula, w) for w in model.worlds]
+
+
+# --- Rank-solver rows decided once per pick pattern ---------------------------
+
+def _per_combination_search(universe, worlds, goal, admissible, mode,
+                            weights=None):
+    """The rank solver as it was before pick patterns: every pick
+    combination of every satisfying assignment solved on its own."""
+    den = goal.slots(_world_masks(worlds, goal.variables))
+    goal.run(den, (1 << len(worlds)) - 1)
+    prop = _Props(worlds)
+    fixed = {}
+    free = []
+    for slot, l, r in goal.atoms:
+        left, right = den[l], den[r]
+        if not left or not right:
+            fixed[slot] = False
+        elif left == right:
+            fixed[slot] = True
+        else:
+            free.append((slot, prop(left), prop(right)))
+    k = len(free)
+    everything = (1 << (1 << k)) - 1
+    truth = {}
+    for (slot, _, _), mask in zip(free, _assignment_masks(k)):
+        truth[slot] = mask
+    for slot, value in fixed.items():
+        truth[slot] = everything if value else 0
+    cells = []
+    for _, left, right in free:
+        for cell in (left, right):
+            if cell not in cells:
+                cells.append(cell)
+    sides = [(cells.index(left), cells.index(right)) for _, left, right in free]
+    index = {w: j for j, w in enumerate(worlds)}
+    for w in worlds:
+        values = goal.slots({v: everything if v in w.members else 0
+                             for v in goal.variables})
+        for slot, mask in truth.items():
+            values[slot] = mask
+        goal.run(values, everything)
+        satisfying = values[goal.root]
+        if not satisfying:
+            continue
+        pick_lists = [admissible(w, cell) for cell in cells]
+        if any(not picks for picks in pick_lists):
+            continue
+        pick_lists = [[index[x] for x in picks] for picks in pick_lists]
+        for t in _bits(satisfying):
+            bits = [(t >> (k - 1 - i)) & 1 for i in range(k)]
+            for combo in itertools.product(*pick_lists):
+                constraints = [
+                    ComparisonAtom(combo[li], combo[ri], False) if value
+                    else ComparisonAtom(combo[ri], combo[li], True)
+                    for (li, ri), value in zip(sides, bits)]
+                ranks = solve_order_constraints(constraints)
+                if ranks is None:
+                    continue
+                utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
+                selection = {(w, cell): worlds[j]
+                             for cell, j in zip(cells, combo)}
+                model = Model(universe, worlds, utility, selection, mode,
+                              weights)
+                if holds_at(model, goal.formula, w):
+                    return model, w
+    return None
+
+
+def _depth1(names):
+    """Core formulas of modal depth at most 1 over the given variables."""
+    def boolean(leaves):
+        return st.recursive(leaves, lambda kids: st.one_of(
+            st.builds(Not, kids), st.builds(And, kids, kids)), max_leaves=4)
+    props = boolean(st.sampled_from([Var(n) for n in names]))
+    return boolean(st.one_of(props, st.builds(PrefWeak, props, props)))
+
+
+PQ = ("p", "q")
+# every basic frame over {p, q} of up to three worlds
+BASIC_FRAMES = [make_worlds(PQ, combo) for count in (1, 2, 3)
+                for combo in itertools.combinations_with_replacement(
+                    [w.members for w in powerset_worlds(PQ)], count)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=_depth1(PQ),
+       policy=st.sampled_from(["basic", "delta", "weighted"]),
+       weights=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+# the two atoms share a cell in some frames and not in others, so the
+# memo must tell their cell sides apart
+@example(formula=Not(And(PrefWeak(Var("p"), Var("q")),
+                         PrefWeak(Not(Var("p")), Var("p")))),
+         policy="basic", weights=(1, 1))
+# a pattern allowed only under a later assignment precedes, in pick order,
+# the first combination allowed under the earliest one
+@example(formula=Not(And(PrefWeak(Var("p"), Not(Var("q"))),
+                         PrefWeak(Var("p"), Var("q")))),
+         policy="basic", weights=(1, 1))
+def test_pattern_search_matches_per_combination(formula, policy, weights):
+    goal = Goal(formula)
+    weighting = dict(zip(PQ, weights))
+    if policy == "basic":
+        # one Goal over every frame, so its pattern memo outlives a frame
+        runs = [(frame, admissible_basic, "basic", None)
+                for frame in BASIC_FRAMES]
+    elif policy == "delta":
+        runs = [(powerset_worlds(PQ), admissible_delta, "delta", None)]
+    else:
+        runs = [(powerset_worlds(PQ), admissible_weighted(weighting),
+                 "delta", weighting)]
+    for worlds, admissible, mode, model_weights in runs:
+        args = (PQ, worlds, goal, admissible, mode, model_weights)
+        assert _solver_search(*args) == _per_combination_search(*args)
+
+
+def test_ax3_commute_prunes_solver_calls(monkeypatch):
+    path = pathlib.Path(deolog.__file__).parent / "derivations" / \
+        "ax3-commute.json"
+    theorem = check_derivation(load_derivation(str(path))).theorem
+    calls = []
+
+    def counted(atoms):
+        calls.append(atoms)
+        return solve_order_constraints(atoms)
+
+    monkeypatch.setattr(engine, "solve_order_constraints", counted)
+    assert check(Sequent((), theorem), BASIC4).kind == "qualified-valid"
+    # one solve per pick combination made 32 136 calls
+    assert len(calls) <= 1000
