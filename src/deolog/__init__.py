@@ -19,9 +19,8 @@ from .regimes import (WeightClass, BasicRegime, DeltaRegime, WeightedRegime,
                       enumerate_weight_orders)
 from .orders import (ComparisonAtom, solve_order_constraints,
                      bruteforce_weak_orders, ordered_bell)
-from .engine import (Sequent, EngineConfig, Verdict, BudgetExceeded, check,
-                     satisfiable, find_countermodel_basic,
-                     find_countermodel_delta, check_forall_weights_invalidity,
-                     DEFAULT_CONFIG)
+from .engine import (Sequent, Verdict, BudgetExceeded, check, satisfiable,
+                     find_countermodel_basic, find_countermodel_delta,
+                     check_forall_weights_invalidity)
 
 __version__ = "0.1.0"

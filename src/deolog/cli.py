@@ -15,7 +15,7 @@ from .syntax import ParseError, desugar, parse, pretty, top_variable
 from .models import MissingSelectionError, denote, validate_model
 from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
                       DEFAULT_GRID)
-from .engine import EngineConfig, Sequent, check, satisfiable
+from .engine import Sequent, check, satisfiable
 from . import documents
 from .proofs import check_derivation
 from .suite import run_suite
@@ -99,10 +99,6 @@ def _regime_from_args(args):
                           _parse_grid(args.grid), args.extra_vars)
 
 
-def _config_from_args(args):
-    return EngineConfig(strict_def7=getattr(args, "strict_def7", False))
-
-
 def cmd_parse(args):
     f = parse(args.formula)
     core = desugar(f, strict_def7=args.strict_def7)
@@ -138,7 +134,8 @@ def cmd_eval(args):
 
 def cmd_check(args):
     sequent = Sequent.parse(args.sequent)
-    verdict = check(sequent, _regime_from_args(args), _config_from_args(args))
+    verdict = check(sequent, _regime_from_args(args),
+                    strict_def7=args.strict_def7)
     _print_verdict(verdict, args.json)
     return verdict.exit_code()
 
@@ -148,7 +145,7 @@ def cmd_sat(args):
              if part.strip()]
     fs = [parse(t) for t in texts]
     verdict = satisfiable(fs, _regime_from_args(args),
-                          _config_from_args(args))
+                          strict_def7=args.strict_def7)
     _print_verdict(verdict, args.json)
     return verdict.exit_code()
 

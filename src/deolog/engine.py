@@ -9,23 +9,32 @@ the regime's retry ladder in order and stops at the first model. The ladder
 of basic is its frames, up to max_worlds worlds; of delta, the goal's
 variables plus e, e+1 and e+2 fresh ones, e being the regime's extra
 variables (the base rung); of weighted, those rungs with forced picks, which
-are nearest under every weighting, then each weighting on the base rung. A
-budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables) raises
-BudgetExceeded in a rung; _budgeted alone catches it, for _find and for the
-rungs of check_forall_weights_invalidity. With the base rung cut, no model
-means qualified-valid to check and unknown to satisfiable.
+are nearest under every weighting, then each weighting on the base rung. One
+helper, _per_weighting, searches a frame once per weighting: the weighted
+regime takes the first model found under any weighting, and
+check_forall_weights_invalidity, rung by rung, asks for a model under every
+weighting. A budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables)
+raises BudgetExceeded in a rung; _budgeted alone catches it, for _find and
+for the rungs of check_forall_weights_invalidity. With the base rung cut, no
+model means qualified-valid to check and unknown to satisfiable. The only
+option of a decision is strict_def7, the reading of P the goal is built
+with.
 
 Two backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
-exhaustive weak-order enumeration (any depth). Every countermodel is
-re-verified by direct evaluation before it is reported.
+exhaustive weak-order enumeration (any depth). The goal's modal depth alone
+chooses between them. Every countermodel is re-verified by direct evaluation
+before it is reported.
 
 Each decision compiles its goal once into a Goal: a flat program over the
-goal's distinct subformulas, with its modal depth, preference atoms and
-backend. Both backends evaluate it on int bitmasks. The oracle reads a
-proposition as a mask over the frame's world indices; the rank solver reads
-the goal at one world as a mask over the truth assignments of the free
-preference atoms and visits only the assignments that satisfy it.
+goal's distinct subformulas, with its modal depth, variables, preference
+atoms and backend. Compiling visits each node object once and gives each
+distinct (operator, operand slots) its slot, so it takes time linear in the
+distinct nodes even where desugaring shares operands. Both backends evaluate
+it on int bitmasks. The oracle reads a proposition as a mask over the frame's
+world indices; the rank solver reads the goal at one world as a mask over the
+truth assignments of the free preference atoms and visits only the
+assignments that satisfy it.
 
 Under one assignment, the rank constraints of a combination of picks are
 satisfiable exactly when those of its pattern are: the pattern relabels the
@@ -50,8 +59,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import syntax
-from .syntax import (And, Formula, Not, PrefWeak, Var, desugar, modal_depth,
-                     parse, top_variable, variables)
+from .syntax import (And, Formula, Not, PrefWeak, Var, desugar, parse,
+                     top_variable)
 from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
                      powerset_worlds)
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
@@ -99,15 +108,6 @@ def _conjoin(formulas, strict_def7) -> Formula:
     top = top_variable(*formulas)
     return functools.reduce(And, [desugar(f, top, strict_def7)
                                   for f in formulas])
-
-
-@dataclass
-class EngineConfig:
-    strict_def7: bool = False
-    force_backend: str | None = None   # 'solver' | 'oracle' | None (auto)
-
-
-DEFAULT_CONFIG = EngineConfig()
 
 
 @dataclass
@@ -172,14 +172,15 @@ class Goal:
 
     def __init__(self, formula: Formula):
         self.formula = formula
-        self.depth = modal_depth(formula)
-        self.backend = "solver" if self.depth <= 1 else "oracle"
-        self.variables = variables(formula)
+        # node id -> slot, and op -> slot: equal subformulas compile to equal
+        # ops, so they share a slot without comparing trees. Node ids stay
+        # unique while formula is alive.
+        compiled = {}
         slots = {}
         code = []
 
         def compile_node(f):
-            slot = slots.get(f)
+            slot = compiled.get(id(f))
             if slot is not None:
                 return slot
             if isinstance(f, Var):
@@ -192,14 +193,29 @@ class Goal:
                 op = (_PREF, compile_node(f.left), compile_node(f.right))
             else:
                 raise TypeError(f"not a core formula: {f!r}")
-            slots[f] = slot = len(code)
-            code.append(op)
+            slot = slots.get(op)
+            if slot is None:
+                slots[op] = slot = len(code)
+                code.append(op)
+            compiled[id(f)] = slot
             return slot
 
         self.root = compile_node(formula)
         self.code = code
+        # modal depth of each slot; children come first
+        depths = []
+        for kind, a, b in code:
+            if kind == _VAR:
+                depths.append(0)
+            elif kind == _NOT:
+                depths.append(depths[a])
+            else:
+                depths.append(max(depths[a], depths[b]) + (kind == _PREF))
+        self.depth = depths[self.root]
+        self.backend = "solver" if self.depth <= 1 else "oracle"
         self.var_slots = [(i, op[1]) for i, op in enumerate(code)
                           if op[0] == _VAR]
+        self.variables = sorted(name for _, name in self.var_slots)
         # (slot, left operand slot, right operand slot), innermost first
         self.atoms = [(i, op[1], op[2]) for i, op in enumerate(code)
                       if op[0] == _PREF]
@@ -496,20 +512,14 @@ def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
     return None
 
 
-def _search_worlds(universe, worlds, goal, admissible, mode, config,
-                   weights=None):
-    backend = config.force_backend or goal.backend
-    if backend == "solver":
-        if goal.depth > 1:
-            raise ValueError("solver backend requires modal depth <= 1")
-        return _solver_search(universe, worlds, goal, admissible, mode,
-                              weights)
-    return _oracle_search(universe, worlds, goal, admissible, mode, weights)
+def _search_worlds(universe, worlds, goal, admissible, mode, weights=None):
+    search = _solver_search if goal.backend == "solver" else _oracle_search
+    return search(universe, worlds, goal, admissible, mode, weights)
 
 
 # --- Regime searchers --------------------------------------------------------
 
-def find_countermodel_basic(goal, max_worlds, config=DEFAULT_CONFIG):
+def find_countermodel_basic(goal, max_worlds):
     """Search basic models: any world multiset over the goal's variables (up
     to max_worlds worlds, valuations may repeat), any selection, any
     utility."""
@@ -521,7 +531,7 @@ def find_countermodel_basic(goal, max_worlds, config=DEFAULT_CONFIG):
                 valuations, count):
             worlds = make_worlds(universe, combo)
             found = _search_worlds(universe, worlds, goal, admissible_basic,
-                                   "basic", config)
+                                   "basic")
             if found:
                 return found
     return None
@@ -547,15 +557,32 @@ def _delta_universe(base_vars, extra):
     return tuple(universe)
 
 
-def find_countermodel_delta(goal, extra_vars=0, config=DEFAULT_CONFIG,
-                            admissible=admissible_delta, weights=None):
+def find_countermodel_delta(goal, extra_vars=0, admissible=admissible_delta):
     """Search delta models over the goal's variables plus extra_vars fresh
     ones (power-set worlds, delta-based selection, free utility)."""
     goal = Goal.of(goal)
     universe = _delta_universe(goal.variables, extra_vars)
     worlds = powerset_worlds(universe)
-    return _search_worlds(universe, worlds, goal, admissible, "delta",
-                          config, weights)
+    return _search_worlds(universe, worlds, goal, admissible, "delta")
+
+
+def _per_weighting(goal, universe, weightings, every=False):
+    """Search the power-set frame of the universe once per weighting, with
+    the weighting's nearest picks. Returns the first (model, world) found,
+    or with every=True that of the first weighting when every weighting has
+    one, else None."""
+    worlds = powerset_worlds(universe)
+    first = None
+    for weighting in weightings:
+        found = _search_worlds(universe, worlds, goal,
+                               admissible_weighted(weighting), "delta",
+                               weighting)
+        if found and not every:
+            return found
+        if every and not found:
+            return None
+        first = first or found
+    return first
 
 
 # --- The retry ladder --------------------------------------------------------
@@ -568,13 +595,13 @@ def _budgeted(search, *args):
         return None, False
 
 
-def _delta_ladder(goal, base_extra, config, admissible):
+def _delta_ladder(goal, base_extra, admissible):
     """Search the delta rungs of the retry ladder in order. Returns the first
     (model, world) found or None, and the extra-variable counts of the rungs
     searched to the end."""
     searched = []
     for extra in range(base_extra, base_extra + LADDER_RUNGS):
-        found, done = _budgeted(find_countermodel_delta, goal, extra, config,
+        found, done = _budgeted(find_countermodel_delta, goal, extra,
                                 admissible)
         if done:
             searched.append(extra)
@@ -601,19 +628,19 @@ class _Search(NamedTuple):
         return Verdict(none, self.fingerprint)
 
 
-def _find(goal, regime, config) -> _Search:
+def _find(goal, regime) -> _Search:
     """Search the regime's retry ladder for a model and a world satisfying
     the goal, going on to the next rung when a budget cuts one."""
     if isinstance(regime, BasicRegime):
         found, complete = _budgeted(find_countermodel_basic, goal,
-                                    regime.max_worlds, config)
+                                    regime.max_worlds)
         # no small-model bound is known for the basic regime
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
                        {}, complete, bounded=True)
     if isinstance(regime, DeltaRegime):
         base = regime.extra_variables
-        found, searched = _delta_ladder(goal, base, config, admissible_delta)
+        found, searched = _delta_ladder(goal, base, admissible_delta)
         return _Search(found, {"regime": "delta", "extra_vars": base,
                                "extras_searched": searched},
                        {}, base in searched)
@@ -633,81 +660,59 @@ def _find(goal, regime, config) -> _Search:
         raise ValueError("weight class unsatisfiable on the grid")
     fingerprint["weightings"] = len(weightings)
     # a forced-pick model satisfies the goal under every weighting
-    found, _ = _delta_ladder(goal, regime.extra_variables, config,
-                             admissible_forced)
+    found, _ = _delta_ladder(goal, regime.extra_variables, admissible_forced)
     if found:
         return _Search(found, fingerprint,
                        {"weight_robust": True, "strategy": "forced"}, True)
-    worlds = powerset_worlds(universe)
-    for weighting in weightings:
-        found, complete = _budgeted(
-            _search_worlds, universe, worlds, goal,
-            admissible_weighted(weighting), "delta", config, weighting)
-        if not complete:
-            break
-        if found:
-            return _Search(found, fingerprint,
-                           {"weight_robust": False, "weighting": weighting,
-                            "strategy": "per-weighting"}, True)
-    return _Search(None, fingerprint, {}, complete)
+    found, complete = _budgeted(_per_weighting, goal, universe, weightings)
+    fields = {"weight_robust": False, "weighting": found[0].weights,
+              "strategy": "per-weighting"} if found else {}
+    return _Search(found, fingerprint, fields, complete)
 
 
 # --- Verdict-producing operations --------------------------------------------
 
-def check(sequent: Sequent, regime, config=DEFAULT_CONFIG) -> Verdict:
+def check(sequent: Sequent, regime, strict_def7=False) -> Verdict:
     """Decide the sequent in the given regime: a model and a world satisfying
     its goal refute it."""
-    search = _find(Goal(sequent.goal(config.strict_def7)), regime, config)
+    search = _find(Goal(sequent.goal(strict_def7)), regime)
     return search.verdict("invalid", "qualified-valid" if search.bounded
                           else "valid", "qualified-valid")
 
 
-def satisfiable(formulas, regime, config=DEFAULT_CONFIG) -> Verdict:
+def satisfiable(formulas, regime, strict_def7=False) -> Verdict:
     """Search for a model of the regime and a world satisfying every given
     surface formula."""
     if not formulas:
         raise ValueError("satisfiable needs at least one formula")
-    goal = Goal(_conjoin(formulas, config.strict_def7))
-    return _find(goal, regime, config).verdict("sat", "unsat", "unknown")
+    goal = Goal(_conjoin(formulas, strict_def7))
+    return _find(goal, regime).verdict("sat", "unsat", "unknown")
 
 
 def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
-                                    config=DEFAULT_CONFIG) -> Verdict:
+                                    strict_def7=False) -> Verdict:
     """Decide whether the sequent fails under *every* weighting: first via a
     single forced-pick countermodel, then (fallback) rung by rung of the
     retry ladder, one countermodel per weight-order representative of that
     rung's universe."""
     grid = DEFAULT_GRID if grid is None else check_grid(grid)
-    goal = Goal(sequent.goal(config.strict_def7))
-    found, _ = _delta_ladder(goal, extra_vars, config, admissible_forced)
+    goal = Goal(sequent.goal(strict_def7))
+    found, _ = _delta_ladder(goal, extra_vars, admissible_forced)
     fingerprint = {"regime": "forall-weights", "grid": list(grid),
                    "extra_vars": extra_vars}
     if found:
         return Verdict("invalid", fingerprint, *found, weight_robust=True,
                        strategy="forced")
     for extra in range(extra_vars, extra_vars + LADDER_RUNGS):
-        found, _ = _budgeted(_countermodel_per_weighting, goal, extra, grid,
-                             config, fingerprint)
+        universe, fits = _budgeted(_delta_universe, goal.variables, extra)
+        if not fits:
+            continue
+        weightings = enumerate_weight_orders(universe, WeightClass(), grid)
+        fingerprint["weightings"] = len(weightings)
+        found, _ = _budgeted(_per_weighting, goal, universe, weightings, True)
         if found:
             return Verdict("invalid", fingerprint, *found,
                            weight_robust=False, strategy="per-weighting")
     return Verdict("unknown", fingerprint,
                    detail="no rung of the ladder has a countermodel for "
                           "every weighting")
-
-
-def _countermodel_per_weighting(goal, extra, grid, config, fingerprint):
-    """The first of one countermodel on the rung per weighting of its
-    universe, or None when some weighting has none."""
-    universe = _delta_universe(goal.variables, extra)
-    weightings = enumerate_weight_orders(universe, WeightClass(), grid)
-    fingerprint["weightings"] = len(weightings)
-    first = None
-    for weighting in weightings:
-        found = find_countermodel_delta(goal, extra, config,
-                                        admissible_weighted(weighting),
-                                        weighting)
-        if not found:
-            return None
-        first = first or found
-    return first

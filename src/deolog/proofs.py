@@ -9,13 +9,13 @@ Only checking is supported, not proof search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+from .engine import Goal, _assignment_masks
 from .syntax import (And, Bot, Box, CondOblig, Diamond, Formula, Iff,
                      Implies, Not, Oblig, Or, Perm, PrefEq, PrefStrict,
-                     PrefStrictRev, PrefWeak, PrefWeakRev, Top, Var, parse,
-                     pretty)
+                     PrefStrictRev, PrefWeak, PrefWeakRev, Top, Var, desugar,
+                     parse, pretty)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,47 +102,30 @@ def apply_substitution(template: Formula, subst: dict) -> Formula:
     raise TypeError(f"unexpected template node {template!r}")
 
 
-def _abstract_atoms(f, atoms):
-    """Collect the maximal non-truth-functional subformulas (plus plain
-    variables), which act as propositional atoms."""
-    if isinstance(f, (Top, Bot)):
-        return
-    if isinstance(f, Not):
-        _abstract_atoms(f.child, atoms)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _abstract_atoms(f.left, atoms)
-        _abstract_atoms(f.right, atoms)
-    elif f not in atoms:
-        atoms.append(f)
-
-
-def _taut_eval(f, value):
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        return not _taut_eval(f.child, value)
-    if isinstance(f, And):
-        return _taut_eval(f.left, value) and _taut_eval(f.right, value)
-    if isinstance(f, Or):
-        return _taut_eval(f.left, value) or _taut_eval(f.right, value)
-    if isinstance(f, Implies):
-        return (not _taut_eval(f.left, value)) or _taut_eval(f.right, value)
-    if isinstance(f, Iff):
-        return _taut_eval(f.left, value) == _taut_eval(f.right, value)
-    return value[f]
-
-
 def is_tautology_instance(f: Formula) -> bool:
     """True iff f is a truth-functional tautology once its maximal modal and
     preference subformulas are abstracted as atoms."""
-    atoms = []
-    _abstract_atoms(f, atoms)
-    for bits in itertools.product((True, False), repeat=len(atoms)):
-        if not _taut_eval(f, dict(zip(atoms, bits))):
-            return False
-    return True
+    atoms = {}
+
+    def abstract(g):
+        """g with each maximal non-truth-functional subformula (and each
+        variable) replaced by a fresh variable, equal ones alike."""
+        if isinstance(g, (Top, Bot)):
+            return g
+        if isinstance(g, Not):
+            return Not(abstract(g.child))
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return type(g)(abstract(g.left), abstract(g.right))
+        return atoms.setdefault(g, Var(f"a{len(atoms)}"))
+
+    goal = Goal(desugar(abstract(f)))
+    # one run evaluates every assignment of the atoms: slot masks range
+    # over the 2^k assignments
+    k = len(goal.variables)
+    full = (1 << (1 << k)) - 1
+    values = goal.slots(dict(zip(goal.variables, _assignment_masks(k))))
+    goal.run(values, full)
+    return values[goal.root] == full
 
 
 @dataclass(frozen=True)

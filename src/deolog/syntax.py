@@ -7,7 +7,7 @@ All evaluation happens on core trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 # --- AST nodes ---------------------------------------------------------------
@@ -28,8 +28,9 @@ class Formula:
         try:
             return self._hash
         except AttributeError:
-            # the value the generated dataclass hash would give
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            # the value the generated dataclass hash would give: the fields
+            # in declaration order, as __match_args__ lists them
+            h = hash(tuple(getattr(self, n) for n in self.__match_args__))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -12,11 +12,11 @@ from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefEq,
                            PrefStrict, PrefWeak, Var, parse)
 from deolog.models import holds_at
 from deolog.orders import bruteforce_weak_orders, ordered_bell
-from deolog.models import World
+from deolog.models import World, powerset_worlds
 from deolog.regimes import DeltaRegime, forced_choice
-from deolog.engine import (EngineConfig, Sequent, check,
-                           check_forall_weights_invalidity,
-                           find_countermodel_delta, satisfiable)
+from deolog.engine import (Goal, Sequent, _oracle_search, _solver_search,
+                           admissible_delta, check,
+                           check_forall_weights_invalidity, satisfiable)
 from deolog.suite import derivation_manifest, run_suite
 
 DELTA0 = DeltaRegime(0)
@@ -182,16 +182,18 @@ def _random_depth1_atom(rng):
 
 def test_criterion_12_oracle_equivalence(capsys):
     rng = random.Random(42)
-    solver_cfg = EngineConfig(force_backend="solver")
-    oracle_cfg = EngineConfig(force_backend="oracle")
     agreements = 0
     for _ in range(200):
         premises = tuple(_random_depth1_atom(rng)
                          for _ in range(rng.randint(0, 2)))
         sequent = Sequent(premises, _random_depth1_atom(rng))
-        goal = sequent.goal()
-        via_solver = find_countermodel_delta(goal, 0, solver_cfg) is not None
-        via_oracle = find_countermodel_delta(goal, 0, oracle_cfg) is not None
+        goal = Goal(sequent.goal())
+        # both backends on the same Delta{0} frame
+        universe = tuple(goal.variables)
+        frame = (universe, powerset_worlds(universe), goal, admissible_delta,
+                 "delta")
+        via_solver = _solver_search(*frame) is not None
+        via_oracle = _oracle_search(*frame) is not None
         agreements += via_solver == via_oracle
     bells = [ordered_bell(n) for n in (2, 3, 4)]
     counts = [sum(1 for _ in bruteforce_weak_orders(

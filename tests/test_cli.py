@@ -92,6 +92,17 @@ class TestCheckCommand:
         assert r.returncode == 0
         assert "verdict: valid" in r.stdout
 
+    def test_deep_shared_nesting_is_decided(self):
+        # the two sides are equal but distinct trees, and desugaring shares
+        # each side's operands: compiling must not compare or walk them as
+        # trees, which grows exponentially with the nesting
+        f = "p"
+        for _ in range(40):
+            f = f"(q <-> {f})"
+        r = run_cli("check", f"{f} |- {f}", timeout=60)
+        assert r.returncode == 0
+        assert "verdict: valid" in r.stdout
+
     def test_weighted_invalid_weight_robust(self):
         r = run_cli("check", "O (p & q) |- O q", "--regime", "weighted",
                     "--grid", "1..9")

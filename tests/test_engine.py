@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 import deolog
 from deolog import engine
 from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
-                           desugar, modal_depth, parse)
+                           desugar, modal_depth, parse, variables)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
                            make_worlds, powerset_worlds)
 from deolog.orders import ComparisonAtom, solve_order_constraints
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
-from deolog.engine import (_AND, _NOT, _PREF, BudgetExceeded, EngineConfig,
-                           Goal, Sequent, _assignment_masks, _bits, _Props,
+from deolog.engine import (_AND, _NOT, _PREF, BudgetExceeded, Goal, Sequent,
+                           _assignment_masks, _bits, _Props,
                            _solver_search, _world_masks, admissible_basic,
                            admissible_delta, admissible_weighted, check,
                            check_forall_weights_invalidity,
@@ -190,16 +190,14 @@ class TestStrictDef7:
     def test_perm_top_flips(self):
         default = check(Sequent.parse("|- ~(P T)"), BASIC4)
         assert default.kind == "qualified-valid"
-        strict = check(Sequent.parse("|- P T"), BASIC4,
-                       EngineConfig(strict_def7=True))
+        strict = check(Sequent.parse("|- P T"), BASIC4, strict_def7=True)
         assert strict.kind == "qualified-valid"
 
     def test_contingent_operands_agree(self):
         # both readings of P coincide away from T/F operands
         s = Sequent.parse("O p |- P p")
         assert check(s, BASIC4).kind == "qualified-valid"
-        assert check(s, BASIC4,
-                     EngineConfig(strict_def7=True)).kind == "qualified-valid"
+        assert check(s, BASIC4, strict_def7=True).kind == "qualified-valid"
 
 
 class TestBudgets:
@@ -324,7 +322,10 @@ def _goal_mask(goal, model):
 def test_bitmask_evaluator_agrees_with_holds_at(formula, seed, three):
     universe = ("p", "q", "r") if three else ("p", "q")
     model = _filled_delta_model(universe, random.Random(seed))
-    mask = _goal_mask(Goal(formula), model)
+    goal = Goal(formula)
+    assert goal.depth == modal_depth(formula)
+    assert goal.variables == variables(formula)
+    mask = _goal_mask(goal, model)
     ev = Evaluator(model)
     assert [bool(mask >> j & 1) for j in range(len(model.worlds))] == \
         [ev.holds_at(formula, w) for w in model.worlds]

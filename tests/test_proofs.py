@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deolog.syntax import Var, parse
+from deolog.syntax import (And, Bot, Iff, Implies, Not, Or, Top, Var, parse)
 from deolog.proofs import (SCHEMAS, MetaVar, Step, apply_substitution,
                            check_derivation, is_tautology_instance,
                            match_schema, step_from_dict)
@@ -65,6 +67,62 @@ class TestTautologyInstance:
         # []p and p are distinct atoms after abstraction
         assert not is_tautology_instance(parse("[]p -> p"))
         assert is_tautology_instance(parse("[]p -> []p"))
+
+
+def _atoms(f, atoms):
+    """The maximal non-truth-functional subformulas and variables of f."""
+    if isinstance(f, (Top, Bot)):
+        return
+    if isinstance(f, Not):
+        _atoms(f.child, atoms)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        _atoms(f.left, atoms)
+        _atoms(f.right, atoms)
+    elif f not in atoms:
+        atoms.append(f)
+
+
+def _truth(f, value):
+    """Truth value of f under value, a dict from its atoms to booleans."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Not):
+        return not _truth(f.child, value)
+    if isinstance(f, And):
+        return _truth(f.left, value) and _truth(f.right, value)
+    if isinstance(f, Or):
+        return _truth(f.left, value) or _truth(f.right, value)
+    if isinstance(f, Implies):
+        return not _truth(f.left, value) or _truth(f.right, value)
+    if isinstance(f, Iff):
+        return _truth(f.left, value) == _truth(f.right, value)
+    return value[f]
+
+
+def _truth_table_tautology(f):
+    """The reference decision: every row of the truth table over f's atoms
+    makes f true."""
+    atoms = []
+    _atoms(f, atoms)
+    return all(_truth(f, dict(zip(atoms, row)))
+               for row in itertools.product((True, False), repeat=len(atoms)))
+
+
+_BOOLEAN_OVER_ATOMS = st.recursive(
+    st.sampled_from([parse(t) for t in ("p", "O p", "p >= q", "T", "F")]),
+    lambda kids: st.one_of(
+        st.builds(Not, kids), st.builds(And, kids, kids),
+        st.builds(Or, kids, kids), st.builds(Implies, kids, kids),
+        st.builds(Iff, kids, kids)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_BOOLEAN_OVER_ATOMS)
+def test_tautology_instance_matches_truth_table(f):
+    assert is_tautology_instance(f) == _truth_table_tautology(f)
 
 
 class TestCheckDerivation:
