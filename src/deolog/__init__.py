@@ -14,9 +14,8 @@ from .models import (World, Model, Evaluator, MissingSelectionError,
                      make_worlds, powerset_worlds, world_from_members,
                      symmetric_difference, denote, holds_at, validate_model)
 from .regimes import (WeightClass, BasicRegime, DeltaRegime, WeightedRegime,
-                      DEFAULT_GRID, delta_minimal, is_delta_based,
-                      weighted_distance, p_nearest, forced_choice,
-                      enumerate_weight_orders)
+                      DEFAULT_GRID, delta_minimal, weighted_distance,
+                      p_nearest, forced_choice, enumerate_weight_orders)
 from .orders import (ComparisonAtom, solve_order_constraints,
                      bruteforce_weak_orders, ordered_bell)
 from .engine import (Sequent, Verdict, BudgetExceeded, check, satisfiable,

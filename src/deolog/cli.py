@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .syntax import ParseError, desugar, parse, pretty, top_variable
+from .syntax import ParseError, desugar, parse, pretty
 from .models import MissingSelectionError, denote, validate_model
-from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
-                      DEFAULT_GRID)
+from .regimes import BasicRegime, DeltaRegime, WeightClass, WeightedRegime
 from .engine import Sequent, check, satisfiable
 from . import documents
 from .proofs import check_derivation
@@ -99,14 +99,23 @@ def _regime_from_args(args):
                           _parse_grid(args.grid), args.extra_vars)
 
 
+def _out(text):
+    """Print a line on stdout. When a reader such as head -1 has closed it,
+    the rest goes to os.devnull and the command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_parse(args):
     f = parse(args.formula)
     core = desugar(f, strict_def7=args.strict_def7)
     if args.core:
-        print(pretty(core))
+        _out(pretty(core))
     else:
-        print(f"surface: {pretty(f)}")
-        print(f"core:    {pretty(core)}")
+        _out(f"surface: {pretty(f)}")
+        _out(f"core:    {pretty(core)}")
     return 0
 
 
@@ -128,7 +137,7 @@ def cmd_eval(args):
     except MissingSelectionError as miss:
         print(f"error: {miss}", file=sys.stderr)
         return EXIT_USAGE
-    print(" ".join(sorted(w.name for w in prop)))
+    _out(" ".join(sorted(w.name for w in prop)))
     return 0
 
 
@@ -152,23 +161,23 @@ def cmd_sat(args):
 
 def _print_verdict(verdict, as_json):
     if as_json:
-        print(json.dumps(documents.verdict_to_doc(verdict), indent=2))
+        _out(json.dumps(documents.verdict_to_doc(verdict), indent=2))
     else:
-        print(documents.format_verdict(verdict))
+        _out(documents.format_verdict(verdict))
 
 
 def cmd_suite(args):
     report = run_suite(only=args.only)
     if args.json:
-        print(json.dumps(report.to_doc(), indent=2))
+        _out(json.dumps(report.to_doc(), indent=2))
     else:
         for r in report.results:
             mark = "ok" if r.ok else "MISMATCH"
-            print(f"{r.claim_id:22s} expected={r.expected:15s} "
-                  f"observed={r.observed:15s} {mark}  ({r.elapsed:.2f}s)")
-        print()
+            _out(f"{r.claim_id:22s} expected={r.expected:15s} "
+                 f"observed={r.observed:15s} {mark}  ({r.elapsed:.2f}s)")
+        _out("")
         for line in report.group_lines():
-            print(line)
+            _out(line)
     return 0 if report.ok else 1
 
 
@@ -180,9 +189,9 @@ def cmd_prove(args):
         return EXIT_USAGE
     result = check_derivation(steps)
     if result.ok:
-        print(f"theorem: {pretty(result.theorem)}")
+        _out(f"theorem: {pretty(result.theorem)}")
         return 0
-    print(f"step {result.step}: {result.reason}")
+    _out(f"step {result.step}: {result.reason}")
     return 1
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .syntax import parse, desugar, pretty
+from .syntax import parse, desugar
 from .models import Evaluator, Model, World
 
 

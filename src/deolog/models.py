@@ -10,7 +10,7 @@ denotations share one cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import Formula, Var, Not, And, PrefWeak
 
@@ -111,14 +111,28 @@ class Model:
 class Evaluator:
     """Shared-memo evaluator for core formulas over one model.
 
+    A formula is an int mask over the indices of model.worlds, evaluated
+    only at the worlds asked for: And reads its right operand where its left
+    one holds, and a preference node denotes its operands everywhere but
+    reads its cells only at the asked worlds. Nodes are memoised by id.
+
     selector, if given, is called as selector(world, proposition) to supply a
     pick for a missing cell; it may record its choice. Without a selector,
-    missing cells raise MissingSelectionError.
+    missing cells raise MissingSelectionError. The order of the selector
+    calls is not part of the contract.
     """
 
     def __init__(self, model: Model, selector=None):
         self.model = model
         self.selector = selector
+        self._index = {w: j for j, w in enumerate(model.worlds)}
+        self._vars = {}      # variable -> mask of the worlds it is true at
+        for w, j in self._index.items():
+            for v in w.members:
+                self._vars[v] = self._vars.get(v, 0) | 1 << j
+        self._props = {}     # mask -> frozenset of its worlds
+        # id(node) -> (node, mask asked at, mask true at): holding the node
+        # keeps its id from being reused while the evaluator lives
         self._memo = {}
 
     def _select(self, w, prop):
@@ -129,31 +143,42 @@ class Evaluator:
                 raise MissingSelectionError(w, prop) from None
             return self.selector(w, prop)
 
-    def holds_at(self, f: Formula, w: World) -> bool:
+    def _mask(self, f: Formula, want: int) -> int:
+        """The mask of the worlds in want at which f holds."""
         if isinstance(f, Var):
-            return f.name in w.members
-        if isinstance(f, Not):
-            return not self.holds_at(f.child, w)
-        if isinstance(f, And):
-            return self.holds_at(f.left, w) and self.holds_at(f.right, w)
-        if isinstance(f, PrefWeak):
-            a = self.denote(f.left)
-            b = self.denote(f.right)
-            if not a or not b:
-                return False  # existential import
-            if a == b:
-                return True   # both sides read the same selection cell
-            u = self.model.utility
-            return u[self._select(w, a)] >= u[self._select(w, b)]
-        raise TypeError(f"not a core formula: {f!r}")
+            return self._vars.get(f.name, 0) & want
+        _, asked, true = self._memo.get(id(f), (f, 0, 0))
+        todo = want & ~asked
+        if todo:
+            if isinstance(f, Not):
+                true |= todo & ~self._mask(f.child, todo)
+            elif isinstance(f, And):
+                true |= self._mask(f.right, self._mask(f.left, todo))
+            elif isinstance(f, PrefWeak):
+                a, b = self.denote(f.left), self.denote(f.right)
+                if a and a == b:
+                    true |= todo  # both sides read the same selection cell
+                elif a and b:     # an empty side is existential import
+                    u = self.model.utility
+                    for w, j in self._index.items():
+                        if todo >> j & 1 and u[self._select(w, a)] >= \
+                                u[self._select(w, b)]:
+                            true |= 1 << j
+            else:
+                raise TypeError(f"not a core formula: {f!r}")
+            self._memo[id(f)] = (f, asked | todo, true)
+        return true & want
+
+    def holds_at(self, f: Formula, w: World) -> bool:
+        return bool(self._mask(f, 1 << self._index[w]))
 
     def denote(self, f: Formula) -> frozenset:
-        got = self._memo.get(f)
-        if got is None:
-            got = frozenset(w for w in self.model.worlds
-                            if self.holds_at(f, w))
-            self._memo[f] = got
-        return got
+        mask = self._mask(f, (1 << len(self._index)) - 1)
+        prop = self._props.get(mask)
+        if prop is None:
+            prop = self._props[mask] = frozenset(
+                w for w, j in self._index.items() if mask >> j & 1)
+        return prop
 
 
 def denote(model: Model, f: Formula) -> frozenset:

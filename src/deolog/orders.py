@@ -8,8 +8,6 @@ import math
 from collections.abc import Hashable
 from typing import NamedTuple
 
-MAX_ORDER_WORLDS = 8
-
 
 class ComparisonAtom(NamedTuple):
     """rank(left) >= rank(right), or strictly > when strict. The sides are
@@ -64,11 +62,9 @@ def _ordered_partitions(items):
 
 def bruteforce_weak_orders(worlds):
     """Yield every weak order on the given worlds exactly once, as canonical
-    surjective rank maps onto {0..m} (earlier blocks rank higher)."""
+    surjective rank maps onto {0..m} (earlier blocks rank higher). Callers
+    bound the worlds, as the engine does by ORACLE_WORLD_CAP."""
     worlds = sorted(worlds, key=lambda w: w.name)
-    if len(worlds) > MAX_ORDER_WORLDS:
-        raise ValueError(
-            f"{len(worlds)} worlds exceeds weak-order cap {MAX_ORDER_WORLDS}")
     for blocks in _ordered_partitions(worlds):
         top = len(blocks) - 1
         yield {w: top - i for i, block in enumerate(blocks) for w in block}

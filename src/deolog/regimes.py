@@ -10,7 +10,7 @@ Every weighted choice is a delta choice (the weights are positive).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .models import World, symmetric_difference
 
@@ -117,20 +117,9 @@ def delta_minimal(w: World, prop: frozenset) -> frozenset:
     """Worlds of prop whose symmetric difference with w is subset-minimal."""
     if not prop:
         raise ValueError("empty proposition")
-    candidates = sorted(prop, key=lambda x: x.name)
-    out = []
-    for w1 in candidates:
-        d1 = symmetric_difference(w, w1)
-        if not any(symmetric_difference(w, w2) < d1 for w2 in candidates):
-            out.append(w1)
-    return frozenset(out)
-
-
-def is_delta_based(model) -> bool:
-    """True iff every defined selection cell picks a difference-minimal
-    world (vacuously true for an empty table)."""
-    return all(pick in delta_minimal(w, prop)
-               for (w, prop), pick in model.selection.items())
+    diffs = {w1: symmetric_difference(w, w1) for w1 in prop}
+    return frozenset(w1 for w1, d1 in diffs.items()
+                     if not any(d2 < d1 for d2 in diffs.values()))
 
 
 def weighted_distance(weighting, w0: World, w1: World):

@@ -14,135 +14,116 @@ from dataclasses import dataclass
 
 class Formula:
     """Base class for surface formulas. Core formulas are the subset built
-    from Var, Not, And and PrefWeak only.
-
-    Formulas are dict keys throughout the search, so each node computes its
-    structural hash once and keeps it in the _hash slot.
+    from Var, Not, And and PrefWeak only. Desugaring shares operand nodes,
+    so evaluators memoise core formulas by node identity. They may call a
+    selector for missing cells in any order: that order is not part of the
+    contract.
     """
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __str__(self):
         return pretty(self)
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            # the value the generated dataclass hash would give: the fields
-            # in declaration order, as __match_args__ lists them
-            h = hash(tuple(getattr(self, n) for n in self.__match_args__))
-            object.__setattr__(self, "_hash", h)
-            return h
 
-
-def _node(cls):
-    """A frozen slotted dataclass that keeps Formula's cached hash."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
-
-
-@_node
+@dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class PrefWeak(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class PrefStrict(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class PrefEq(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class PrefWeakRev(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class PrefStrictRev(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Top(Formula):
     pass
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Bot(Formula):
     pass
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Box(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Diamond(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Oblig(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Perm(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class CondOblig(Formula):
     condition: Formula
     duty: Formula
 
-
-CORE_TYPES = (Var, Not, And, PrefWeak)
 
 #: Reserved variable used to lower T when the query mentions no variable at all.
 RESERVED_TOP_VAR = "_t"

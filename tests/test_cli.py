@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -197,6 +198,17 @@ class TestSatCommand:
         assert r.returncode == 2
         assert "verdict: unknown" in r.stdout
 
+    def test_deep_iff_chain_is_verified(self):
+        # the model found is re-verified by evaluating the goal, whose
+        # desugared form shares each level's operands: evaluated as a tree,
+        # its cost grows exponentially with the nesting
+        f = "p"
+        for _ in range(24):
+            f = f"(p <-> {f})"
+        r = run_cli("sat", f, timeout=20)
+        assert r.returncode == 0
+        assert "verdict: sat" in r.stdout
+
     def test_no_formula_is_a_usage_error(self):
         # used to crash in engine._conjoin and exit 1, which reads as unsat
         r = run_cli("sat", ";")
@@ -211,6 +223,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check", crash)
     assert cli.main(["check", "|- p"]) == 4
     assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [("parse", "p"),
+                                  ("suite", "--only", "Prop4")])
+def test_closed_stdout_keeps_the_exit_code(args):
+    # as in `deolog suite | head -1`: the reader is gone before the output
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        r = subprocess.run([sys.executable, "-m", "deolog.cli", *args],
+                           stdout=write, stderr=subprocess.PIPE, text=True,
+                           env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert r.returncode == 0
+    assert r.stderr == ""
 
 
 class TestSuiteCommand:

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deolog.syntax import Not, PrefWeak, Var, desugar, parse
+from deolog.regimes import delta_minimal
+from deolog.syntax import And, Not, PrefWeak, Var, desugar, parse
 from deolog.models import (Evaluator, MissingSelectionError, Model, World,
                            denote, holds_at, make_worlds, powerset_worlds,
                            symmetric_difference, world_from_members,
@@ -96,7 +99,6 @@ class TestDenote:
             g = desugar(random_surface_formula(rng, ["p", "q"], 2), "p")
             everything = frozenset(model.worlds)
             assert ev.denote(Not(f)) == everything - ev.denote(f)
-            from deolog.syntax import And
             assert ev.denote(And(f, g)) == ev.denote(f) & ev.denote(g)
 
     def test_world_level_transitivity(self):
@@ -157,6 +159,130 @@ class TestValidate:
         assert any("utility" in v for v in problems)
         assert any("mode" in v for v in problems)
 
+    def test_empty_delta_table_is_valid(self):
+        worlds = powerset_worlds(("p",))
+        model = Model(("p",), worlds, {w: 0 for w in worlds}, {}, "delta")
+        assert validate_model(model) == []
+
     def test_no_worlds(self):
         assert validate_model(Model(("p",), (), {}, {})) == \
             ["model has no worlds"]
+
+
+# --- Evaluator against the tree walk it replaced ------------------------------
+
+class _TreeWalk:
+    """The evaluator as it was before world masks: it walks a core formula
+    as a tree at one world, and memoises denotations by formula equality.
+    Kept as the reference for Evaluator."""
+
+    def __init__(self, model):
+        self.model = model
+        self.memo = {}
+
+    def select(self, w, prop):
+        try:
+            return self.model.selection[(w, prop)]
+        except KeyError:
+            raise MissingSelectionError(w, prop) from None
+
+    def holds_at(self, f, w):
+        if isinstance(f, Var):
+            return f.name in w.members
+        if isinstance(f, Not):
+            return not self.holds_at(f.child, w)
+        if isinstance(f, And):
+            return self.holds_at(f.left, w) and self.holds_at(f.right, w)
+        a = self.denote(f.left)
+        b = self.denote(f.right)
+        if not a or not b:
+            return False
+        if a == b:
+            return True
+        u = self.model.utility
+        return u[self.select(w, a)] >= u[self.select(w, b)]
+
+    def denote(self, f):
+        got = self.memo.get(f)
+        if got is None:
+            got = frozenset(w for w in self.model.worlds
+                            if self.holds_at(f, w))
+            self.memo[f] = got
+        return got
+
+
+def _core_formulas(names):
+    """Core formulas, some sharing operand nodes as desugared > does."""
+    return st.recursive(
+        st.sampled_from([Var(n) for n in names]),
+        lambda kids: st.one_of(
+            st.builds(Not, kids), st.builds(And, kids, kids),
+            st.builds(PrefWeak, kids, kids),
+            st.builds(lambda a, b: And(PrefWeak(a, b), Not(PrefWeak(b, a))),
+                      kids, kids)),
+        max_leaves=10)
+
+
+def _filled_delta_model(universe, rng, keep=1.0):
+    """A random delta model with a delta-based pick in each cell, every cell
+    kept with probability keep."""
+    worlds = powerset_worlds(universe)
+    utility = {w: rng.randrange(len(worlds)) for w in worlds}
+    selection = {}
+    for size in range(1, len(worlds) + 1):
+        for members in itertools.combinations(worlds, size):
+            prop = frozenset(members)
+            for w in worlds:
+                pick = rng.choice(sorted(delta_minimal(w, prop),
+                                         key=lambda x: x.name))
+                if rng.random() < keep:
+                    selection[(w, prop)] = pick
+    return Model(universe, worlds, utility, selection, "delta")
+
+
+def _outcome(evaluate):
+    """evaluate(), or None if it needs a missing cell."""
+    try:
+        return evaluate()
+    except MissingSelectionError:
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=_core_formulas(("p", "q", "r")), seed=st.integers(0, 2 ** 32),
+       three=st.booleans())
+def test_evaluator_agrees_with_tree_walk(formula, seed, three):
+    universe = ("p", "q", "r") if three else ("p", "q")
+    model = _filled_delta_model(universe, random.Random(seed))
+    expected = _TreeWalk(model).denote(formula)
+    assert Evaluator(model).denote(formula) == expected
+    # asking world by world first grows each node's asked mask
+    ev = Evaluator(model)
+    assert [ev.holds_at(formula, w) for w in model.worlds] == \
+        [w in expected for w in model.worlds]
+    assert ev.denote(formula) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=_core_formulas(("p", "q")), seed=st.integers(0, 2 ** 32),
+       keep=st.sampled_from([0.3, 0.8, 0.95]))
+def test_evaluator_needs_the_cells_the_tree_walk_needs(formula, seed, keep):
+    model = _filled_delta_model(("p", "q"), random.Random(seed), keep)
+    assert _outcome(lambda: Evaluator(model).denote(formula)) == \
+        _outcome(lambda: _TreeWalk(model).denote(formula))
+    for w in model.worlds:
+        assert _outcome(lambda: Evaluator(model).holds_at(formula, w)) == \
+            _outcome(lambda: _TreeWalk(model).holds_at(formula, w))
+
+
+def test_one_evaluator_over_temporary_formulas():
+    # each formula is dropped before the next is built, so a new node may
+    # take a dropped node's address: the memo must not mistake one for the
+    # other
+    from deolog.suite import random_surface_formula
+    rng = random.Random(21)
+    model = _filled_delta_model(("p", "q"), rng)
+    ev = Evaluator(model)
+    for _ in range(300):
+        f = desugar(random_surface_formula(rng, ["p", "q"], 2), "p")
+        assert ev.denote(f) == Evaluator(model).denote(f)

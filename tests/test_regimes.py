@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from deolog.models import Model, World, powerset_worlds
+from deolog.models import Model, World, powerset_worlds, validate_model
 from deolog.regimes import (DEFAULT_GRID, WeightClass, delta_minimal,
                             enumerate_weight_orders, forced_choice,
-                            is_delta_based, p_nearest, weighted_distance)
+                            p_nearest, weighted_distance)
 
 
 def _worlds(universe):
@@ -38,8 +38,12 @@ class TestDeltaMinimal:
 
 
 class TestIsDeltaBased:
+    """A delta model picks a difference-minimal world in every cell."""
+
     def test_appendix_model(self, appendix_model):
-        assert is_delta_based(appendix_model)
+        assert all(pick in delta_minimal(w, prop)
+                   for (w, prop), pick in appendix_model.selection.items())
+        assert validate_model(appendix_model) == []
 
     def test_non_minimal_pick(self):
         by = _worlds(("p", "q"))
@@ -47,12 +51,10 @@ class TestIsDeltaBased:
         prop = frozenset({by["00"], by["10"]})
         model = Model(("p", "q"), worlds, {w: 0 for w in worlds},
                       {(by["11"], prop): by["00"]}, "delta")
-        assert not is_delta_based(model)
-
-    def test_empty_table_vacuous(self):
-        worlds = powerset_worlds(("p",))
-        model = Model(("p",), worlds, {w: 0 for w in worlds}, {}, "delta")
-        assert is_delta_based(model)
+        assert by["00"] not in delta_minimal(by["11"], prop)
+        assert validate_model(model) == [
+            "selection at 11 is not delta-based: pick 00 is not "
+            "difference-minimal in its cell"]
 
 
 class TestWeightedDistance:
