@@ -111,11 +111,12 @@ def _out(text):
 def cmd_parse(args):
     f = parse(args.formula)
     core = desugar(f, strict_def7=args.strict_def7)
+    text = pretty(core)   # may refuse an oversized tree: print nothing then
     if args.core:
-        _out(pretty(core))
+        _out(text)
     else:
         _out(f"surface: {pretty(f)}")
-        _out(f"core:    {pretty(core)}")
+        _out(f"core:    {text}")
     return 0
 
 

@@ -13,9 +13,28 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .syntax import parse, desugar
-from .models import Evaluator, Model, World
+from .models import Evaluator, MissingSelectionError, Model, World
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind, what):
+    """value, if it has the JSON type kind; otherwise the document is
+    malformed."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _names(value, what) -> list:
+    for name in _typed(value, list, what):
+        _typed(name, str, f"each entry of {what}")
+    return value
 
 
 def _world_members(universe, name: str) -> frozenset:
@@ -26,29 +45,69 @@ def _world_members(universe, name: str) -> frozenset:
     return frozenset(v for v, b in zip(universe, bits) if b == "1")
 
 
+def _number(convert, value, what):
+    try:
+        return convert(value)
+    except (TypeError, OverflowError):   # e.g. a list, or Infinity
+        raise ValueError(f"{what} is not a finite number: {value!r}") \
+            from None
+
+
 def model_from_doc(doc: dict) -> Model:
-    universe = tuple(doc["universe"])
+    """The model a parsed document describes. Raises KeyError or ValueError
+    on a malformed document; validate_model checks the model itself."""
+    _typed(doc, dict, "a model document")
+    universe = tuple(_names(doc["universe"], '"universe"'))
     worlds = tuple(World(name, _world_members(universe, name))
-                   for name in doc["worlds"])
+                   for name in _names(doc["worlds"], '"worlds"'))
     by_name = {w.name: w for w in worlds}
-    utility = {by_name[name]: int(rank)
-               for name, rank in doc["utility"].items()}
+    utility = {by_name[name]: _number(int, rank, f"the utility of {name}")
+               for name, rank in _typed(doc["utility"], dict,
+                                        '"utility"').items()}
     weights = None
     if doc.get("weights") is not None:
-        weights = {v: Fraction(x) for v, x in doc["weights"].items()}
+        weights = {v: _number(Fraction, x, f"the weight of {v}")
+                   for v, x in _typed(doc["weights"], dict,
+                                      '"weights"').items()}
     model = Model(universe, worlds, utility, {}, doc.get("mode", "basic"),
                   weights)
+    cells = {}   # tuple of world names -> the one frozenset of those worlds
     # entries are resolved in listed order, so a formula cell may rely on
     # selections defined by earlier entries
-    for entry in doc.get("selection", []):
-        at = by_name[entry["at"]]
+    for entry in _typed(doc.get("selection", []), list, '"selection"'):
+        _typed(entry, dict, "a selection entry")
+        at = by_name[_typed(entry["at"], str, '"at"')]
         of = entry["of"]
         if isinstance(of, str):
-            prop = Evaluator(model).denote(desugar(parse(of)))
+            try:
+                prop = Evaluator(model).denote(desugar(parse(of)))
+            except MissingSelectionError as miss:
+                raise ValueError(f"cell {of!r} at {at.name}: {miss}") \
+                    from None
         else:
-            prop = frozenset(by_name[name] for name in of)
-        model.selection[(at, prop)] = by_name[entry["pick"]]
+            key = tuple(_typed(of, list, '"of"'))
+            try:
+                prop = cells[key]
+            except (KeyError, TypeError):   # TypeError: an unhashable name
+                prop = cells[key] = frozenset(
+                    by_name[name] for name in _names(of, '"of"'))
+        model.selection[(at, prop)] = by_name[_typed(entry["pick"], str,
+                                                     '"pick"')]
     return model
+
+
+def _selection_rows(model: Model) -> list:
+    """The selection as sorted (at, of, pick) rows of world names. Each cell's
+    names are sorted once, into one list that its rows share."""
+    cells = {}
+    rows = []
+    for (at, prop), pick in model.selection.items():
+        of = cells.get(prop)
+        if of is None:
+            of = cells[prop] = sorted(w.name for w in prop)
+        rows.append((at.name, of, pick.name))
+    rows.sort()
+    return rows
 
 
 def model_to_doc(model: Model) -> dict:
@@ -58,15 +117,8 @@ def model_to_doc(model: Model) -> dict:
         "worlds": names,
         "utility": {name: model.utility[model.world(name)]
                     for name in names},
-        "selection": [
-            {"at": at.name,
-             "of": sorted(w.name for w in prop),
-             "pick": pick.name}
-            for (at, prop), pick in sorted(
-                model.selection.items(),
-                key=lambda item: (item[0][0].name,
-                                  sorted(w.name for w in item[0][1])))
-        ],
+        "selection": [{"at": at, "of": list(of), "pick": pick}
+                      for at, of, pick in _selection_rows(model)],
         "mode": model.mode,
     }
     if model.weights is not None:
@@ -74,8 +126,56 @@ def model_to_doc(model: Model) -> dict:
     return doc
 
 
+def _layout(items, indent, brackets="[]") -> str:
+    """Encoded items in brackets, laid out as json.dumps with indent=2 lays
+    them out at this indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
+def _strings(names, indent) -> str:
+    return _layout([_quote(name) for name in names], indent)
+
+
+def _object(pairs, indent) -> str:
+    return _layout([f"{_quote(k)}: {v}" for k, v in pairs], indent, "{}")
+
+
 def dumps_model(model: Model) -> str:
-    return json.dumps(model_to_doc(model), indent=2) + "\n"
+    """The model's document as JSON text: byte for byte
+    json.dumps(model_to_doc(model), indent=2) + "\n", written directly.
+
+    World names and variables are strings, escaped as json.dumps escapes
+    them. json.dumps with an indent runs json's pure-Python encoder, so this
+    writer lays out the fixed shape itself and encodes each cell once.
+    """
+    names = sorted(w.name for w in model.worlds)
+    cells = {}   # id of a shared "of" list -> its encoding
+    entries = []
+    for at, of, pick in _selection_rows(model):
+        cell = cells.get(id(of))
+        if cell is None:
+            cell = cells[id(of)] = _strings(of, "      ")
+        entries.append(f'{{\n      "at": {_quote(at)},\n      "of": {cell},'
+                       f'\n      "pick": {_quote(pick)}\n    }}')
+    selection = _layout(entries, "  ")
+    parts = [
+        '{\n  "universe": ', _strings(model.universe, "  "),
+        ',\n  "worlds": ', _strings(names, "  "),
+        ',\n  "utility": ', _object(
+            [(name, json.dumps(model.utility[model.world(name)]))
+             for name in names], "  "),
+        ',\n  "selection": ', selection,
+        ',\n  "mode": ', json.dumps(model.mode)]
+    if model.weights is not None:
+        parts += [',\n  "weights": ', _object(
+            [(v, _quote(str(model.weights[v]))) for v in model.universe],
+            "  ")]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def loads_model(text: str) -> Model:
@@ -122,12 +222,8 @@ def format_verdict(verdict) -> str:
         lines.append("model:" if verdict.kind == "sat" else "countermodel:")
         for name in sorted(w.name for w in m.worlds):
             lines.append(f"  u({name}) = {m.utility[m.world(name)]}")
-        for (at, prop), pick in sorted(
-                m.selection.items(),
-                key=lambda item: (item[0][0].name,
-                                  sorted(w.name for w in item[0][1]))):
-            cell = "{" + ",".join(sorted(w.name for w in prop)) + "}"
-            lines.append(f"  select({at.name}, {cell}) = {pick.name}")
+        for at, of, pick in _selection_rows(m):
+            lines.append(f"  select({at}, {{{','.join(of)}}}) = {pick}")
     if verdict.detail is not None:
         lines.append(f"note: {verdict.detail}")
     return "\n".join(lines)

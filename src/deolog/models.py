@@ -194,8 +194,18 @@ def holds_at(model: Model, f: Formula, w: World) -> bool:
 
 def validate_model(model: Model) -> list[str]:
     """Check every model invariant; returns a list of violation messages
-    (empty = ok)."""
-    from .regimes import delta_minimal  # local import avoids a cycle
+    (empty = ok).
+
+    Worlds need unique names, declared variables and a utility rank. Each
+    selection cell must sit at a known world, name a nonempty set of known
+    worlds and pick one of them. A delta model ranges over the full power set
+    of its universe and picks difference-minimally (regimes.delta_admits).
+    Weights, when given, must be positive on every variable of the universe
+    (regimes.check_weighting), and every pick must then be nearest under them
+    (regimes.nearest_admits). Each cell's policies are checked in one pass
+    over its worlds, so the check is linear in the size of the table.
+    """
+    from .regimes import check_weighting, delta_admits, nearest_admits
 
     problems = []
     if not model.worlds:
@@ -204,37 +214,58 @@ def validate_model(model: Model) -> list[str]:
     names = [w.name for w in model.worlds]
     if len(set(names)) != len(names):
         problems.append("world names are not unique")
+    # weights are read only on cells of known worlds over declared variables
+    weights = model.weights
     for w in model.worlds:
         if not w.members <= set(model.universe):
             problems.append(f"world {w.name} mentions undeclared variables")
+            weights = None
     for w in model.worlds:
         if w not in model.utility:
             problems.append(f"no utility rank for world {w.name}")
+    delta = model.mode == "delta"
+    weight_problems = []
+    if model.weights is not None:
+        try:
+            check_weighting(model.weights, model.universe)
+        except ValueError as exc:
+            weight_problems.append(f"invalid weights: {exc}")
+            weights = None
+    delta_problems = []
     world_set = set(model.worlds)
     for (w, prop), pick in model.selection.items():
-        if w not in world_set:
+        known = w in world_set
+        if not known:
             problems.append(f"selection at unknown world {w.name}")
         if not prop:
             problems.append(f"selection cell at {w.name} has empty proposition")
             continue
         if not prop <= world_set:
+            known = False
             problems.append(
                 f"selection cell at {w.name} mentions unknown worlds")
         if pick not in prop:
             problems.append(
                 f"selection at {w.name} picks {pick.name}, which is outside "
                 "the cell's proposition")
-    if model.mode == "delta":
-        expected = set(powerset_worlds(model.universe))
-        if world_set != expected:
+            continue
+        if delta and not delta_admits(w, prop, pick):
+            delta_problems.append(
+                f"selection at {w.name} is not delta-based: pick "
+                f"{pick.name} is not difference-minimal in its cell")
+        if weights is not None and known and \
+                not nearest_admits(weights, w, prop, pick):
+            weight_problems.append(
+                f"selection at {w.name} is not nearest under the weights: "
+                f"pick {pick.name} is not at minimal weighted distance in "
+                "its cell")
+    if delta:
+        if world_set != set(powerset_worlds(model.universe)):
             problems.append(
                 "delta model's worlds are not the full power set of the "
                 "universe")
-        for (w, prop), pick in model.selection.items():
-            if pick in prop and pick not in delta_minimal(w, prop):
-                problems.append(
-                    f"selection at {w.name} is not delta-based: pick "
-                    f"{pick.name} is not difference-minimal in its cell")
+        problems.extend(delta_problems)
     elif model.mode != "basic":
         problems.append(f"unknown mode {model.mode!r}")
+    problems.extend(weight_problems)
     return problems

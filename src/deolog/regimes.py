@@ -122,6 +122,17 @@ def delta_minimal(w: World, prop: frozenset) -> frozenset:
                      if not any(d2 < d1 for d2 in diffs.values()))
 
 
+def delta_admits(w: World, prop: frozenset, pick: World) -> bool:
+    """Whether a pick in prop is in delta_minimal(w, prop), in one pass over
+    prop: no member differs from w by a proper subset of pick's difference."""
+    members = w.members
+    d = members ^ pick.members
+    for x in prop:
+        if members ^ x.members < d:
+            return False
+    return True
+
+
 def weighted_distance(weighting, w0: World, w1: World):
     """The sum of the weights of the variables on which w0 and w1 differ."""
     return sum(weighting[v] for v in symmetric_difference(w0, w1))
@@ -134,6 +145,13 @@ def p_nearest(weighting, w: World, prop: frozenset) -> frozenset:
     dist = {w1: weighted_distance(weighting, w, w1) for w1 in prop}
     best = min(dist.values())
     return frozenset(w1 for w1 in prop if dist[w1] == best)
+
+
+def nearest_admits(weighting, w: World, prop: frozenset, pick: World) -> bool:
+    """Whether a pick in prop is in p_nearest(weighting, w, prop), in one
+    pass over prop: no member is nearer to w than pick."""
+    d = weighted_distance(weighting, w, pick)
+    return not any(weighted_distance(weighting, w, x) < d for x in prop)
 
 
 def forced_choice(w: World, prop: frozenset) -> World | None:

@@ -387,12 +387,47 @@ def _prec(f):
 
 
 def _wrap(f, minimum):
-    s = pretty(f)
+    s = _pretty(f)
     return f"({s})" if _prec(f) < minimum else s
 
 
+MAX_PRINTED_NODES = 1_000_000
+
+
+def _printed_nodes(f: Formula, memo: dict) -> int:
+    """The number of nodes in the tree that pretty prints for f, counted
+    once per node of the DAG (memo maps id(node) to its count)."""
+    n = memo.get(id(f))
+    if n is None:
+        if isinstance(f, (Not, Box, Diamond, Oblig, Perm)):
+            n = 1 + _printed_nodes(f.child, memo)
+        elif isinstance(f, CondOblig):
+            n = 1 + _printed_nodes(f.condition, memo) + \
+                _printed_nodes(f.duty, memo)
+        elif isinstance(f, (Var, Top, Bot)):
+            n = 1
+        else:
+            n = 1 + _printed_nodes(f.left, memo) + \
+                _printed_nodes(f.right, memo)
+        memo[id(f)] = n
+    return n
+
+
 def pretty(f: Formula) -> str:
-    """Minimal-parenthesization printer; parse(pretty(f)) == f."""
+    """Minimal-parenthesization printer; parse(pretty(f)) == f.
+
+    Desugaring shares operands, so a core formula can print exponentially
+    larger than it is: a formula that would print as more than
+    MAX_PRINTED_NODES nodes raises ValueError instead.
+    """
+    nodes = _printed_nodes(f, {})
+    if nodes > MAX_PRINTED_NODES:
+        raise ValueError(f"formula prints as {nodes} nodes, more than "
+                         f"{MAX_PRINTED_NODES}")
+    return _pretty(f)
+
+
+def _pretty(f: Formula) -> str:
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Top):
@@ -412,7 +447,7 @@ def pretty(f: Formula) -> str:
     if isinstance(f, Perm):
         return "P " + _wrap(f.child, _P_UNARY)
     if isinstance(f, CondOblig):
-        return f"C({pretty(f.condition)}, {pretty(f.duty)})"
+        return f"C({_pretty(f.condition)}, {_pretty(f.duty)})"
     op, lvl = _BIN[type(f)]
     if lvl == _P_IMP:  # right-associative
         left = _wrap(f.left, lvl + 1)

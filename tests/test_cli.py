@@ -14,6 +14,13 @@ DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
 OVER_CAP = " & ".join("abcdefghijklm")
 
 
+def _iff_chain(levels):
+    f = "p"
+    for _ in range(levels):
+        f = f"(p <-> {f})"
+    return f
+
+
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "deolog.cli", *args],
                           capture_output=True, text=True, **kw)
@@ -39,6 +46,19 @@ class TestParseCommand:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 3
+
+    def test_oversized_core_is_refused(self):
+        # desugaring shares the operands of <->, so the printed core of a
+        # 40-level chain would have about 10^13 nodes
+        r = run_cli("parse", _iff_chain(40), timeout=10)
+        assert r.returncode == 3
+        assert "nodes, more than" in r.stderr
+        assert r.stdout == ""
+
+    def test_twelve_level_core_prints(self):
+        r = run_cli("parse", "--core", _iff_chain(12), timeout=20)
+        assert r.returncode == 0
+        assert r.stdout.count("p") == 3 * 2 ** 12 - 2
 
     def test_deep_nesting_is_a_syntax_error(self):
         r = run_cli("parse", "(" * 400 + "p" + ")" * 400)
@@ -85,6 +105,60 @@ class TestEvalCommand:
         r = run_cli("eval", str(bad), "p")
         assert r.returncode == 3
         assert "cannot load model" in r.stderr
+
+    @pytest.mark.parametrize("path, value", [
+        ((), ["not", "an", "object"]),
+        (("universe",), 3),
+        (("utility",), []),
+        (("selection",), {"at": "00", "of": ["00"], "pick": "00"}),
+        (("selection", 0), "00"),
+        (("selection", 0, "at"), ["00"]),
+        (("selection", 0, "of"), 5),
+        (("selection", 0, "of"), [["00"]]),
+        (("weights",), [1]),
+        (("utility", "00"), float("inf")),
+        # a formula cell whose preference reads a cell no earlier entry set
+        (("selection", 0, "of"), "p >= q"),
+    ], ids=["top-list", "universe-number", "utility-list", "selection-object",
+            "entry-string", "at-list", "of-number", "of-nested-list",
+            "weights-list", "utility-infinite", "of-unresolvable-formula"])
+    def test_malformed_model_is_a_usage_error(self, tmp_path, appendix_path,
+                                               path, value):
+        doc = json.loads(appendix_path.read_text())
+        if path:
+            *parents, last = path
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            doc = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("eval", str(bad), "p")
+        assert r.returncode == 3, r.stderr
+        assert "cannot load model" in r.stderr
+
+    @pytest.mark.parametrize("weights, problem", [
+        ({"p": "-1", "q": "1"},
+         "invalid weights: weight of p must be positive"),
+        ({"p": "1"}, "invalid weights: weighting undefined on variable q"),
+        # at 10, the cell {00, 01, 11} picks 11 at distance 2 over 00 at 1
+        ({"p": "1", "q": "2"}, "selection at 10 is not nearest"),
+        ({"p": "2", "q": "1"}, None),
+    ], ids=["negative", "missing", "not-nearest", "nearest"])
+    def test_weights_are_certified(self, tmp_path, appendix_path, weights,
+                                   problem):
+        doc = json.loads(appendix_path.read_text())
+        doc["weights"] = weights
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("eval", str(path), "p")
+        if problem is None:
+            assert r.returncode == 0, r.stderr
+        else:
+            assert r.returncode == 3
+            assert f"invalid model: {problem}" in r.stderr
 
 
 class TestCheckCommand:
@@ -202,10 +276,7 @@ class TestSatCommand:
         # the model found is re-verified by evaluating the goal, whose
         # desugared form shares each level's operands: evaluated as a tree,
         # its cost grows exponentially with the nesting
-        f = "p"
-        for _ in range(24):
-            f = f"(p <-> {f})"
-        r = run_cli("sat", f, timeout=20)
+        r = run_cli("sat", _iff_chain(24), timeout=20)
         assert r.returncode == 0
         assert "verdict: sat" in r.stdout
 

@@ -1,12 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deolog.documents import (dumps_model, format_verdict, load_model,
                               loads_model, model_from_doc, model_to_doc,
                               verdict_to_doc)
 from deolog.engine import Sequent, check
-from deolog.models import holds_at, make_worlds, Model, validate_model
+from deolog.models import (holds_at, make_worlds, Model, powerset_worlds,
+                           validate_model)
 from deolog.regimes import DeltaRegime
 from deolog.syntax import desugar, parse
 
@@ -78,6 +80,65 @@ class TestModelDocuments:
         doc = json.loads(appendix_path.read_text())
         assert list(doc) == ["universe", "worlds", "utility", "selection",
                              "mode"]
+
+
+# --- dumps_model against json.dumps ---------------------------------------------
+
+def _reference_dumps(model):
+    return json.dumps(model_to_doc(model), indent=2) + "\n"
+
+
+@st.composite
+def _models(draw):
+    """Basic models (repeated valuations get #k names) and delta models, with
+    or without weights, over variables that need escaping too."""
+    universe = draw(st.sampled_from([("p",), ("p", "q"), ("p", "q", "r"),
+                                     ("\u00fc", 'a"b\\')]))
+    mode = draw(st.sampled_from(["basic", "delta"]))
+    if mode == "delta":
+        worlds = powerset_worlds(universe)
+    else:
+        worlds = make_worlds(universe, draw(st.lists(
+            st.sets(st.sampled_from(universe)), min_size=1, max_size=5)))
+    utility = {w: draw(st.integers(-3, 20)) for w in worlds}
+    some_world = st.sampled_from(worlds)
+    selection = {
+        (at, frozenset(prop)): pick for at, prop, pick in draw(st.lists(
+            st.tuples(some_world, st.sets(some_world, min_size=1),
+                      some_world), max_size=8))}
+    weights = draw(st.none() | st.fixed_dictionaries({
+        v: st.fractions(min_value=1, max_value=9, max_denominator=4)
+        for v in universe}))
+    return Model(universe, worlds, utility, selection, mode, weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(model=_models())
+def test_dumps_model_is_json_dumps(model):
+    text = dumps_model(model)
+    assert text == _reference_dumps(model)
+    assert dumps_model(loads_model(text)) == text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(model=_models(), formulas=st.lists(st.sampled_from(["T", "F"]),
+                                          max_size=2))
+def test_dumps_model_of_formula_and_unsorted_cells(model, formulas):
+    doc = model_to_doc(model)
+    for entry in doc["selection"]:
+        entry["of"].reverse()
+    # T names every world, F the empty cell
+    doc["selection"] += [{"at": name, "of": text, "pick": name}
+                         for text, name in zip(formulas, doc["worlds"])]
+    again = model_from_doc(doc)
+    assert dumps_model(again) == _reference_dumps(again)
+
+
+def test_dumps_model_of_empty_selection():
+    worlds = powerset_worlds(("p",))
+    model = Model(("p",), worlds, {w: 0 for w in worlds}, {}, "delta")
+    assert '"selection": [],' in dumps_model(model)
+    assert dumps_model(model) == _reference_dumps(model)
 
 
 class TestVerdictDocuments:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deolog.regimes import delta_minimal
+from deolog.regimes import check_weighting, delta_minimal, p_nearest
 from deolog.syntax import And, Not, PrefWeak, Var, desugar, parse
 from deolog.models import (Evaluator, MissingSelectionError, Model, World,
                            denote, holds_at, make_worlds, powerset_worlds,
@@ -167,6 +167,127 @@ class TestValidate:
     def test_no_worlds(self):
         assert validate_model(Model(("p",), (), {}, {})) == \
             ["model has no worlds"]
+
+    def test_weighted_pick_must_be_nearest(self):
+        worlds = powerset_worlds(("p", "q"))
+        by = {w.name: w for w in worlds}
+        cell = frozenset({by["01"], by["10"]})
+
+        def picking(pick):
+            return Model(("p", "q"), worlds, {w: 0 for w in worlds},
+                         {(by["00"], cell): by[pick]}, "delta",
+                         {"p": 1, "q": 3})
+        # both picks are delta-based from 00; only 10 is nearest
+        assert validate_model(picking("10")) == []
+        assert validate_model(picking("01")) == [
+            "selection at 00 is not nearest under the weights: pick 01 is "
+            "not at minimal weighted distance in its cell"]
+
+    def test_weights_must_be_positive_and_total(self):
+        worlds = powerset_worlds(("p", "q"))
+        for weights, problem in (({"p": 1, "q": 0}, "weight of q must be "
+                                  "positive"),
+                                 ({"q": 2}, "weighting undefined on "
+                                  "variable p")):
+            model = Model(("p", "q"), worlds, {w: 0 for w in worlds}, {},
+                          "delta", weights)
+            assert validate_model(model) == [f"invalid weights: {problem}"]
+
+    def test_weights_skip_cells_of_unknown_worlds(self):
+        worlds = powerset_worlds(("p",))
+        stranger = _w("1x", "p", "x")
+        cell = frozenset({worlds[0], stranger})
+        model = Model(("p",), worlds, {w: 0 for w in worlds},
+                      {(worlds[1], cell): worlds[0]}, "delta", {"p": 1})
+        assert validate_model(model) == [
+            "selection cell at 1 mentions unknown worlds"]
+
+
+
+# --- validate_model against the delta_minimal check it replaced ---------------
+
+def _reference_problems(model):
+    """validate_model as it was before its one-pass cell checks: a delta pick
+    is checked against the whole delta_minimal set of its cell, a weighted one
+    against the whole p_nearest set. Kept as the reference."""
+    problems = []
+    names = [w.name for w in model.worlds]
+    if len(set(names)) != len(names):
+        problems.append("world names are not unique")
+    for w in model.worlds:
+        if not w.members <= set(model.universe):
+            problems.append(f"world {w.name} mentions undeclared variables")
+    for w in model.worlds:
+        if w not in model.utility:
+            problems.append(f"no utility rank for world {w.name}")
+    world_set = set(model.worlds)
+    for (w, prop), pick in model.selection.items():
+        if w not in world_set:
+            problems.append(f"selection at unknown world {w.name}")
+        if not prop:
+            problems.append(f"selection cell at {w.name} has empty proposition")
+            continue
+        if not prop <= world_set:
+            problems.append(
+                f"selection cell at {w.name} mentions unknown worlds")
+        if pick not in prop:
+            problems.append(
+                f"selection at {w.name} picks {pick.name}, which is outside "
+                "the cell's proposition")
+    if world_set != set(powerset_worlds(model.universe)):
+        problems.append(
+            "delta model's worlds are not the full power set of the universe")
+    for (w, prop), pick in model.selection.items():
+        if pick in prop and pick not in delta_minimal(w, prop):
+            problems.append(
+                f"selection at {w.name} is not delta-based: pick "
+                f"{pick.name} is not difference-minimal in its cell")
+    if model.weights is not None:
+        try:
+            check_weighting(model.weights, model.universe)
+        except ValueError as exc:
+            return problems + [f"invalid weights: {exc}"]
+        for (w, prop), pick in model.selection.items():
+            if prop and pick in prop and \
+                    pick not in p_nearest(model.weights, w, prop):
+                problems.append(
+                    f"selection at {w.name} is not nearest under the "
+                    f"weights: pick {pick.name} is not at minimal weighted "
+                    "distance in its cell")
+    return problems
+
+
+def _messy_delta_model(universe, rng, stray, weights):
+    """A delta model over some random cells; with probability stray a pick is
+    any world rather than a delta-based one, so it may be outside its cell or
+    not minimal in it."""
+    worlds = powerset_worlds(universe)
+    if rng.random() < 0.2:
+        worlds = worlds[:-1]
+    selection = {}
+    for _ in range(rng.randrange(30)):
+        prop = frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1)))
+        w = rng.choice(worlds)
+        if prop and rng.random() >= stray:
+            pick = rng.choice(sorted(delta_minimal(w, prop),
+                                     key=lambda x: x.name))
+        else:
+            pick = rng.choice(worlds)
+        selection[(w, prop)] = pick
+    utility = {w: rng.randrange(3) for w in worlds[1:]}
+    return Model(universe, worlds, utility, selection, "delta", weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 3),
+       stray=st.sampled_from([0.0, 0.2, 0.6]),
+       weights=st.none() | st.dictionaries(
+           st.sampled_from("pqr"), st.integers(-1, 4), min_size=1))
+def test_validate_agrees_with_delta_minimal_reference(seed, size, stray,
+                                                      weights):
+    universe = ("p", "q", "r")[:size]
+    model = _messy_delta_model(universe, random.Random(seed), stray, weights)
+    assert validate_model(model) == _reference_problems(model)
 
 
 # --- Evaluator against the tree walk it replaced ------------------------------
