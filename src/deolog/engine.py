@@ -47,6 +47,19 @@ the others walks the combinations in order, solving only those whose pattern
 is satisfiable. It finds the same ranks and model as solving every
 combination would.
 
+A basic frame is a multiset of valuations, and swapping two worlds of one
+valuation maps the frame to itself: every admissibility policy reads only
+the valuation of the world it picks at, and admissible_basic not even that.
+So each frame is searched only up to those swaps. The rank solver searches
+one row per valuation, the first world that has it, and memoises a row's
+satisfying assignments per Goal and its patterns per frame. The oracle
+takes the weak orders in enumeration order and searches only the first of
+each orbit: it skips an order when an earlier one gave the worlds of each
+valuation the same multiset of ranks, single worlds included. A model at
+any member of an orbit, or at any row of a valuation, maps to one at the
+first, which is searched earlier, so the first model found is the one a
+search of every case would find.
+
 Masks become frozensets of worlds only to key selection cells, to call the
 admissibility policies and to build the reported Model.
 """
@@ -230,6 +243,10 @@ class Goal:
         # of two atoms or not, so the same pattern can stand for different
         # constraints under other sides.
         self.orderable = {}
+        # (each atom fixed true, fixed false or free, a row's valuation) ->
+        # the mask of the free atoms' assignments satisfying the goal there,
+        # filled by the rank solver
+        self.satisfying = {}
 
     @classmethod
     def of(cls, goal) -> "Goal":
@@ -317,6 +334,37 @@ def _rank_constraints(sides, t, combo):
 
 # --- Search over a fixed world frame -----------------------------------------
 
+def _rows(worlds):
+    """The first world of each valuation, in frame order."""
+    rows = {}
+    for w in worlds:
+        rows.setdefault(w.members, w)
+    return rows.values()
+
+
+def _orbit_orders(worlds):
+    """The weak orders of bruteforce_weak_orders(worlds), in its order, that
+    are the first of their orbit under permutations of same-valuation
+    worlds: those that give the worlds of each valuation a multiset of ranks
+    no earlier order gave them. Every valuation counts, single worlds too."""
+    groups = {}
+    for w in worlds:
+        groups.setdefault(w.members, []).append(w)
+    if len(groups) == len(worlds):
+        # every orbit is one order, as in every delta frame: keys would
+        # only cost time
+        yield from bruteforce_weak_orders(worlds)
+        return
+    groups = list(groups.values())
+    seen = set()
+    for utility in bruteforce_weak_orders(worlds):
+        key = tuple(tuple(sorted(utility[w] for w in group))
+                    for group in groups)
+        if key not in seen:
+            seen.add(key)
+            yield utility
+
+
 def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
     """Depth <= 1 backend: preference operands denote fixed propositions, so
     a falsifying utility is a solution of rank comparisons among the picked
@@ -352,6 +400,11 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
                   for _, left, right in free)
     index = {w: j for j, w in enumerate(worlds)}
     decided = goal.orderable.setdefault(sides, {})
+    status = tuple(fixed.get(slot) for slot, _, _ in goal.atoms)
+    satisfying_at = goal.satisfying
+    # a row's pick-index lists -> its set of patterns; in a basic frame every
+    # row has the same lists
+    patterns_of = {}
 
     def first_allowed(pattern, assignments):
         """The lowest assignment in the mask assignments under which some
@@ -373,21 +426,28 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
         allowed = ok & assignments
         return allowed & -allowed
 
-    for w in worlds:
-        values = goal.slots({v: everything if v in w.members else 0
-                             for v in goal.variables})
-        for slot, mask in truth.items():
-            values[slot] = mask
-        goal.run(values, everything)
-        satisfying = values[goal.root]
+    for w in _rows(worlds):
+        satisfying = satisfying_at.get((status, w.members))
+        if satisfying is None:
+            values = goal.slots({v: everything if v in w.members else 0
+                                 for v in goal.variables})
+            for slot, mask in truth.items():
+                values[slot] = mask
+            goal.run(values, everything)
+            satisfying = satisfying_at[(status, w.members)] = \
+                values[goal.root]
         if not satisfying:
             continue
         pick_lists = [admissible(w, cell) for cell in cells]
         if any(not picks for picks in pick_lists):
             continue
         # the solver ranks world indices, which hash cheaply
-        pick_lists = [[index[x] for x in picks] for picks in pick_lists]
-        patterns = set(map(_pattern, itertools.product(*pick_lists)))
+        pick_lists = tuple(tuple(index[x] for x in picks)
+                           for picks in pick_lists)
+        patterns = patterns_of.get(pick_lists)
+        if patterns is None:
+            patterns = patterns_of[pick_lists] = set(
+                map(_pattern, itertools.product(*pick_lists)))
         remaining = satisfying
         while remaining:
             # the lowest remaining assignment some pattern allows (best),
@@ -505,7 +565,7 @@ def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
 
         return per_world(0, 0)
 
-    for utility in bruteforce_weak_orders(worlds):
+    for utility in _orbit_orders(worlds):
         found = assign_atom(0, utility, [utility[w] for w in worlds], {})
         if found:
             return found
@@ -616,6 +676,8 @@ class _Search(NamedTuple):
     fields: dict            # strategy, weight_robust, weighting of the model
     complete: bool          # whether the base rung was searched to the end
     bounded: bool = False   # a complete search proves only its bound
+    # the note of a verdict whose base rung a budget cut
+    cut_note: str = "budget exceeded before the base search"
 
     def verdict(self, found, none, cut) -> Verdict:
         """A verdict of kind found if a model was found, else of kind cut if
@@ -623,8 +685,7 @@ class _Search(NamedTuple):
         if self.found:
             return Verdict(found, self.fingerprint, *self.found, **self.fields)
         if not self.complete:
-            return Verdict(cut, self.fingerprint,
-                           detail="budget exceeded before the base search")
+            return Verdict(cut, self.fingerprint, detail=self.cut_note)
         return Verdict(none, self.fingerprint)
 
 
@@ -634,10 +695,16 @@ def _find(goal, regime) -> _Search:
     if isinstance(regime, BasicRegime):
         found, complete = _budgeted(find_countermodel_basic, goal,
                                     regime.max_worlds)
-        # no small-model bound is known for the basic regime
+        # no small-model bound is known for the basic regime. Frames come
+        # in ascending size, and only the oracle cap cuts one, so a cut
+        # search has searched every frame up to the cap.
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
-                       {}, complete, bounded=True)
+                       {}, complete, bounded=True,
+                       cut_note=f"frames of up to {ORACLE_WORLD_CAP} worlds "
+                                f"searched; the oracle cap of "
+                                f"{ORACLE_WORLD_CAP} worlds cut the larger "
+                                f"frames")
     if isinstance(regime, DeltaRegime):
         base = regime.extra_variables
         found, searched = _delta_ladder(goal, base, admissible_delta)

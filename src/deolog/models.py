@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import Formula, Var, Not, And, PrefWeak
 
 MAX_UNIVERSE = 12
 
 
-@dataclass(frozen=True, slots=True)
-class World:
+class World(NamedTuple):
     """A named valuation. name is unique within a model; members is the set
-    of variables true at the world."""
+    of variables true at the world. A tuple, so it hashes in C: selection
+    cells are keyed by (world, proposition)."""
     name: str
     members: frozenset
 

@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,9 +15,10 @@ from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
 from deolog.orders import ComparisonAtom, solve_order_constraints
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
-from deolog.engine import (_AND, _NOT, _PREF, BudgetExceeded, Goal, Sequent,
-                           _assignment_masks, _bits, _Props,
-                           _solver_search, _world_masks, admissible_basic,
+from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
+                           BudgetExceeded, Goal, Sequent, _assignment_masks,
+                           _bits, _oracle_search, _Props, _solver_search,
+                           _world_masks, admissible_basic,
                            admissible_delta, admissible_weighted, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
@@ -214,6 +216,15 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             find_countermodel_delta(
                 Sequent.parse("O O p ; q & r |- O p").goal(), 0)
+
+    def test_basic_cap_note_names_the_frames_searched(self):
+        v = check(Sequent.parse("|- [][]p -> []p"), BasicRegime(7))
+        assert v.kind == "qualified-valid" and v.exit_code() == 0
+        assert v.detail == (
+            f"frames of up to {ORACLE_WORLD_CAP} worlds searched; the oracle "
+            f"cap of {ORACLE_WORLD_CAP} worlds cut the larger frames")
+        assert check(Sequent.parse("|- [][]p -> []p"),
+                     BasicRegime(ORACLE_WORLD_CAP)).detail is None
 
     def test_basic_search_none_when_valid(self):
         assert find_countermodel_basic(
@@ -458,3 +469,69 @@ def test_ax3_commute_prunes_solver_calls(monkeypatch):
     assert check(Sequent((), theorem), BASIC4).kind == "qualified-valid"
     # one solve per pick combination made 32 136 calls
     assert len(calls) <= 1000
+
+
+# --- Basic frames searched up to the symmetry of repeated valuations ----------
+
+def _every_order(worlds):
+    """The oracle's weak-order loop before orbits: every order searched."""
+    yield from engine.bruteforce_weak_orders(worlds)
+
+
+VALUATIONS = [w.members for w in powerset_worlds(PQ)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(formula=_core_formulas(PQ),
+       frame=st.lists(st.sampled_from(VALUATIONS), min_size=1, max_size=3)
+       .flatmap(lambda vals: st.permutations(vals + [vals[0]])))
+# orbits keyed by the repeated group alone merge orders that differ in the
+# rank of the single world, and miss the first model
+@example(formula=Sequent.parse("O O q |- O q").goal(),
+         frame=[frozenset(), frozenset(), frozenset({"q"})])
+def test_symmetric_search_matches_every_row_and_order(formula, frame):
+    worlds = make_worlds(PQ, frame)
+    goal = Goal(formula)
+    args = (PQ, worlds, goal, admissible_basic, "basic")
+    if goal.depth <= 1:
+        # the reference searches every row, each on its own
+        assert _solver_search(*args) == _per_combination_search(*args)
+    # the oracle searches goals of any depth, in time growing with the atoms
+    if len(goal.atoms) <= 4:
+        found = _oracle_search(*args)
+        with mock.patch.object(engine, "_orbit_orders", _every_order):
+            assert found == _oracle_search(*args)
+
+
+def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
+    path = pathlib.Path(deolog.__file__).parent / "derivations" / "t-pref.json"
+    theorem = check_derivation(load_derivation(str(path))).theorem
+    generated, searched = [], []
+
+    def counted(wrapped, into):
+        def orders(worlds):
+            for utility in wrapped(worlds):
+                into.append(utility)
+                yield utility
+        return orders
+
+    monkeypatch.setattr(engine, "bruteforce_weak_orders",
+                        counted(engine.bruteforce_weak_orders, generated))
+    monkeypatch.setattr(engine, "_orbit_orders",
+                        counted(engine._orbit_orders, searched))
+    assert check(Sequent((), theorem), BASIC4).kind == "qualified-valid"
+    assert (len(searched), len(generated)) == (1225, 2919)
+
+
+def test_solver_searches_one_row_per_valuation():
+    worlds = make_worlds(PQ, [set(), set(), {"q"}, {"q"}])
+    rows = []
+
+    def no_picks(w, prop):
+        rows.append(w.name)
+        return ()
+
+    goal = Goal(Not(PrefWeak(Var("q"), Not(Var("q")))))
+    assert _solver_search(PQ, worlds, goal, no_picks, "basic") is None
+    # both cells are asked at each row searched
+    assert rows == ["00", "00", "01", "01"]

@@ -51,6 +51,15 @@ class TestWorlds:
     def test_world_from_members(self):
         assert world_from_members(("p", "q"), {"p"}).name == "10"
 
+    def test_world_fields_repr_and_hash(self):
+        w = World(name="a", members=frozenset({"p"}))
+        assert (w.name, w.members) == ("a", {"p"})
+        assert repr(w) == "World(a)"
+        assert w == _w("a", "p") and hash(w) == hash(_w("a", "p"))
+        assert w != _w("b", "p") and w != _w("a")
+        with pytest.raises(AttributeError):
+            w.name = "b"
+
 
 class TestDenote:
     def test_appendix_oblig_implication(self, appendix_model):
