@@ -19,13 +19,14 @@ from .syntax import parse, desugar
 from .models import Evaluator, MissingSelectionError, Model, World
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer"}
 
 
 def _typed(value, kind, what):
     """value, if it has the JSON type kind; otherwise the document is
     malformed."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not "
                          f"{type(value).__name__}")
     return value
@@ -229,8 +230,14 @@ def format_verdict(verdict) -> str:
     return "\n".join(lines)
 
 
-def load_derivation(path):
+def derivation_from_doc(doc: dict) -> list:
+    """The steps a parsed derivation document lists. Raises KeyError or
+    ValueError on a malformed document."""
     from .proofs import step_from_dict
+    steps = _typed(doc, dict, "a derivation document")["steps"]
+    return [step_from_dict(entry) for entry in _typed(steps, list, '"steps"')]
+
+
+def load_derivation(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    return [step_from_dict(entry) for entry in doc["steps"]]
+        return derivation_from_doc(json.load(fh))

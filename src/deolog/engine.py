@@ -170,6 +170,7 @@ def admissible_forced(w, prop):
 # --- Compiled goals ------------------------------------------------------------
 
 _VAR, _NOT, _AND, _PREF = range(4)
+_OPCODES = {Var: _VAR, Not: _NOT, And: _AND, PrefWeak: _PREF}
 
 
 class Goal:
@@ -185,35 +186,28 @@ class Goal:
 
     def __init__(self, formula: Formula):
         self.formula = formula
-        # node id -> slot, and op -> slot: equal subformulas compile to equal
-        # ops, so they share a slot without comparing trees. Node ids stay
-        # unique while formula is alive.
-        compiled = {}
+        # op -> slot: equal subformulas compile to equal ops, so they share
+        # a slot without comparing trees
         slots = {}
         code = []
 
-        def compile_node(f):
-            slot = compiled.get(id(f))
-            if slot is not None:
-                return slot
-            if isinstance(f, Var):
-                op = (_VAR, f.name, None)
-            elif isinstance(f, Not):
-                op = (_NOT, compile_node(f.child), None)
-            elif isinstance(f, And):
-                op = (_AND, compile_node(f.left), compile_node(f.right))
-            elif isinstance(f, PrefWeak):
-                op = (_PREF, compile_node(f.left), compile_node(f.right))
-            else:
+        def compile_node(f, operands):
+            kind = _OPCODES.get(type(f))
+            if kind is None:
                 raise TypeError(f"not a core formula: {f!r}")
+            if kind == _VAR:
+                op = (_VAR, f.name, None)
+            elif kind == _NOT:
+                op = (_NOT, operands[0], None)
+            else:
+                op = (kind, *operands)
             slot = slots.get(op)
             if slot is None:
                 slots[op] = slot = len(code)
                 code.append(op)
-            compiled[id(f)] = slot
             return slot
 
-        self.root = compile_node(formula)
+        self.root = syntax.fold(formula, compile_node)
         self.code = code
         # modal depth of each slot; children come first
         depths = []

@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .documents import _typed
 from .engine import Goal, _assignment_masks
-from .syntax import (And, Bot, Box, CondOblig, Diamond, Formula, Iff,
-                     Implies, Not, Oblig, Or, Perm, PrefEq, PrefStrict,
-                     PrefStrictRev, PrefWeak, PrefWeakRev, Top, Var, desugar,
+from .syntax import (And, Bot, Box, Diamond, Formula, Iff, Implies, MetaVar,
+                     Not, Or, PrefWeak, Top, Var, children, desugar, fold,
                      parse, pretty)
-
-
-@dataclass(frozen=True, slots=True)
-class MetaVar(Formula):
-    """Schema metavariable; stands for an arbitrary surface formula."""
-    name: str
 
 
 _PHI, _PSI, _THETA = MetaVar("phi"), MetaVar("psi"), MetaVar("theta")
@@ -43,33 +37,16 @@ SCHEMAS = {
     "PC-taut": None,   # checked by is_tautology_instance instead
 }
 
-_BINARY = (And, Or, Implies, Iff, PrefWeak, PrefStrict, PrefEq,
-           PrefWeakRev, PrefStrictRev)
-_UNARY = (Not, Box, Diamond, Oblig, Perm)
-
 
 def _match(template, f, subst):
-    if isinstance(template, MetaVar):
-        bound = subst.get(template.name)
-        if bound is None:
-            subst[template.name] = f
-            return True
-        return bound == f
+    if type(template) is MetaVar:
+        return subst.setdefault(template.name, f) == f
     if type(template) is not type(f):
         return False
-    if isinstance(template, Var):
-        return template.name == f.name
-    if isinstance(template, (Top, Bot)):
-        return True
-    if isinstance(template, _UNARY):
-        return _match(template.child, f.child, subst)
-    if isinstance(template, _BINARY):
-        return (_match(template.left, f.left, subst)
-                and _match(template.right, f.right, subst))
-    if isinstance(template, CondOblig):
-        return (_match(template.condition, f.condition, subst)
-                and _match(template.duty, f.duty, subst))
-    raise TypeError(f"unexpected template node {template!r}")
+    operands = children(template)
+    if not operands:
+        return template == f
+    return all(_match(t, g, subst) for t, g in zip(operands, children(f)))
 
 
 def match_schema(schema_id: str, f: Formula) -> dict | None:
@@ -84,22 +61,18 @@ def match_schema(schema_id: str, f: Formula) -> dict | None:
 
 
 def apply_substitution(template: Formula, subst: dict) -> Formula:
-    if isinstance(template, MetaVar):
-        try:
-            return subst[template.name]
-        except KeyError:
-            raise ValueError(f"unbound metavariable {template.name}") from None
-    if isinstance(template, (Var, Top, Bot)):
-        return template
-    if isinstance(template, _UNARY):
-        return type(template)(apply_substitution(template.child, subst))
-    if isinstance(template, _BINARY):
-        return type(template)(apply_substitution(template.left, subst),
-                              apply_substitution(template.right, subst))
-    if isinstance(template, CondOblig):
-        return CondOblig(apply_substitution(template.condition, subst),
-                         apply_substitution(template.duty, subst))
-    raise TypeError(f"unexpected template node {template!r}")
+    def instantiate(g, operands):
+        if type(g) is MetaVar:
+            try:
+                return subst[g.name]
+            except KeyError:
+                raise ValueError(f"unbound metavariable {g.name}") from None
+        return type(g)(*operands) if operands else g
+    return fold(template, instantiate)
+
+
+#: Truth-functional connectives: is_tautology_instance abstracts the rest
+_TRUTH_FUNCTIONAL = (Top, Bot, Not, And, Or, Implies, Iff)
 
 
 def is_tautology_instance(f: Formula) -> bool:
@@ -110,12 +83,9 @@ def is_tautology_instance(f: Formula) -> bool:
     def abstract(g):
         """g with each maximal non-truth-functional subformula (and each
         variable) replaced by a fresh variable, equal ones alike."""
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, Not):
-            return Not(abstract(g.child))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(abstract(g.left), abstract(g.right))
+        if type(g) in _TRUTH_FUNCTIONAL:
+            operands = children(g)
+            return type(g)(*map(abstract, operands)) if operands else g
         return atoms.setdefault(g, Var(f"a{len(atoms)}"))
 
     goal = Goal(desugar(abstract(f)))
@@ -148,26 +118,32 @@ class CheckResult:
 
 
 def step_from_dict(entry: dict) -> Step:
-    kind = entry["kind"]
+    """The step a derivation document's entry describes. Raises KeyError or
+    ValueError (ParseError for a bad formula) on a malformed entry."""
+    kind = _typed(entry, dict, "each step")["kind"]
     if kind == "axiom":
-        schema = entry["schema"]
+        schema = _typed(entry["schema"], str, '"schema"')
         if schema not in SCHEMAS:
             raise ValueError(f"unknown schema {schema!r}")
         if "formula" in entry:
-            formula = parse(entry["formula"])
+            formula = parse(_typed(entry["formula"], str, '"formula"'))
         else:
             template = SCHEMAS[schema]
             if template is None:
                 raise ValueError("PC-taut steps must give the formula")
-            subst = {name: parse(text)
-                     for name, text in entry["subst"].items()}
+            subst = {name: parse(_typed(text, str, f'"subst" entry {name!r}'))
+                     for name, text in
+                     _typed(entry["subst"], dict, '"subst"').items()}
             formula = apply_substitution(template, subst)
         return Step("axiom", formula, schema)
     if kind == "mp":
-        i, j = entry["refs"]
-        return Step("mp", refs=(i, j))
+        refs = _typed(entry["refs"], list, '"refs"')
+        if len(refs) != 2:
+            raise ValueError(f'"refs" must name 2 lines, not {len(refs)}')
+        return Step("mp", refs=tuple(_typed(r, int, 'each entry of "refs"')
+                                     for r in refs))
     if kind == "nec":
-        return Step("nec", refs=(entry["ref"],))
+        return Step("nec", refs=(_typed(entry["ref"], int, '"ref"'),))
     raise ValueError(f"unknown step kind {kind!r}")
 
 

@@ -22,6 +22,7 @@ from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
 from .engine import (Sequent, check, check_forall_weights_invalidity,
                      satisfiable)
 from .proofs import check_derivation
+from .documents import derivation_from_doc
 
 
 # --- Random generators -------------------------------------------------------
@@ -87,7 +88,7 @@ class Claim:
     run: object          # () -> (observed kind, fingerprint)
 
 
-def _check_claim(text, regime, expected):
+def _check_claim(text, regime):
     def run():
         sequent = Sequent.parse(text)
         verdict = check(sequent, regime)
@@ -123,7 +124,7 @@ def _registry():
 
     def add(claim_id, text, regime, expected):
         claims.append(Claim(claim_id, expected,
-                            _check_claim(text, regime, expected)))
+                            _check_claim(text, regime)))
 
     # preference validities: reflexivity needs its possibility guard, since
     # an empty operand falsifies any comparison (existential import)
@@ -314,10 +315,8 @@ def derivation_manifest():
 
 
 def load_shipped_derivation(name):
-    from .proofs import step_from_dict
     with resources.files("deolog.derivations").joinpath(name).open() as fh:
-        doc = json.load(fh)
-    return [step_from_dict(entry) for entry in doc["steps"]]
+        return derivation_from_doc(json.load(fh))
 
 
 def _axioms_claim():

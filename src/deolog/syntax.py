@@ -2,7 +2,16 @@
 
 The surface language carries every abbreviation (| -> <-> > <= < ~~ [] <> O P
 C T F); the core language is negation, conjunction and weak preference only.
-All evaluation happens on core trees.
+All evaluation happens on core formulas.
+
+_OPERANDS names the operand fields of each node class, and every structural
+walk reads it: the queries below, the printer, schema matching in proofs and
+goal compilation in engine. Desugaring shares operands, so a core formula is
+a DAG that may stand for an exponentially larger tree: fold() and
+surface_variables visit each distinct node object once, iteratively, so the
+queries take time linear in the DAG. _height, the depth check of every
+parse, keeps no memo (parser output is a tree) but is iterative too: the
+parser builds a left-deep chain such as p & p & ... without recursing.
 """
 
 from __future__ import annotations
@@ -125,19 +134,68 @@ class CondOblig(Formula):
     duty: Formula
 
 
+@dataclass(frozen=True, slots=True)
+class MetaVar(Formula):
+    """Schema metavariable of a proof template; stands for an arbitrary
+    surface formula. Never parsed, desugared or evaluated."""
+    name: str
+
+
+# --- Operands ----------------------------------------------------------------
+
+#: The operand fields of each node class, in order. A class with operands has
+#: no other field, so type(f)(*children(f)) rebuilds f.
+_OPERANDS = {
+    **dict.fromkeys((Var, MetaVar, Top, Bot), ()),
+    **dict.fromkeys((Not, Box, Diamond, Oblig, Perm), ("child",)),
+    **dict.fromkeys((And, Or, Implies, Iff, PrefWeak, PrefStrict, PrefEq,
+                     PrefWeakRev, PrefStrictRev), ("left", "right")),
+    CondOblig: ("condition", "duty"),
+}
+
+_CORE = (Var, Not, And, PrefWeak)
+
+
+def children(f: Formula) -> tuple:
+    """The operands of f, in field order; () for a leaf."""
+    return tuple([getattr(f, name) for name in _OPERANDS[type(f)]])
+
+
+def fold(f: Formula, combine):
+    """combine(node, [result of each operand]) over the distinct node
+    objects of f, operands before the nodes using them; the result at f.
+
+    The walk is iterative and memoised by node identity (ids stay unique
+    while f, which holds every node, is alive), so it takes time linear in
+    the DAG, and combine is called once per node object, in the order of a
+    depth-first left-to-right postorder.
+    """
+    done = {}
+    stack = [f]
+    opened = []     # (node, its operands) whose operands are being folded
+    while stack:
+        g = stack.pop()
+        if g is None:   # the operands of the last opened node are done
+            g, operands = opened.pop()
+            done[id(g)] = combine(g, [done[id(h)] for h in operands])
+        elif id(g) not in done:
+            operands = children(g)
+            if operands:
+                opened.append((g, operands))
+                stack.append(None)
+                stack.extend(reversed(operands))
+            else:
+                done[id(g)] = combine(g, [])
+    return done[id(f)]
+
+
 #: Reserved variable used to lower T when the query mentions no variable at all.
 RESERVED_TOP_VAR = "_t"
 
 
 def is_core(f: Formula) -> bool:
     """True iff f contains only Var/Not/And/PrefWeak nodes."""
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Not):
-        return is_core(f.child)
-    if isinstance(f, (And, PrefWeak)):
-        return is_core(f.left) and is_core(f.right)
-    return False
+    return fold(f, lambda g, operands: type(g) in _CORE and all(operands))
 
 
 # --- Parsing -----------------------------------------------------------------
@@ -165,8 +223,8 @@ _SINGLE = "~&|><(),"
 
 
 def _tokenize(text):
-    """Yield (kind, lexeme, offset) triples. Kinds: op lexemes themselves,
-    'ident', 'eof'."""
+    """The list of (kind, lexeme, offset) triples of text. Kinds: op
+    lexemes themselves, 'ident', 'eof'."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -211,6 +269,12 @@ _PREF_OPS = {
     ">=": PrefWeak, ">": PrefStrict, "<=": PrefWeakRev,
     "<": PrefStrictRev, "~~": PrefEq,
 }
+
+#: Constants and prefix operators: each class and the text it prints with
+_CONSTANTS = {Top: "T", Bot: "F"}
+_PREFIX = {Not: "~", Box: "[]", Diamond: "<>", Oblig: "O ", Perm: "P "}
+_CONSTANT_OPS = {text: cls for cls, text in _CONSTANTS.items()}
+_PREFIX_OPS = {text.strip(): cls for cls, text in _PREFIX.items()}
 
 _FORMULA_START = {"~", "[]", "<>", "O", "P", "C", "T", "F", "(", "ident"}
 
@@ -304,35 +368,20 @@ class _Parser:
         return f
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok[0] == "~":
-            self.advance()
-            return Not(self.nested(self.parse_unary))
-        if tok[0] == "[]":
-            self.advance()
-            return Box(self.nested(self.parse_unary))
-        if tok[0] == "<>":
-            self.advance()
-            return Diamond(self.nested(self.parse_unary))
-        if tok[0] == "O":
-            self.advance()
-            return Oblig(self.nested(self.parse_unary))
-        if tok[0] == "P":
-            self.advance()
-            return Perm(self.nested(self.parse_unary))
-        return self.parse_atom()
+        cls = _PREFIX_OPS.get(self.peek()[0])
+        if cls is None:
+            return self.parse_atom()
+        self.advance()
+        return cls(self.nested(self.parse_unary))
 
     def parse_atom(self):
         tok = self.peek()
         if tok[0] == "ident":
             self.advance()
             return Var(tok[1])
-        if tok[0] == "T":
+        if tok[0] in _CONSTANT_OPS:
             self.advance()
-            return Top()
-        if tok[0] == "F":
-            self.advance()
-            return Bot()
+            return _CONSTANT_OPS[tok[0]]()
         if tok[0] == "C":
             self.advance()
             self.expect("(")
@@ -379,11 +428,9 @@ _BIN = {
 
 
 def _prec(f):
-    if isinstance(f, (Var, Top, Bot, CondOblig)):
-        return _P_ATOM
-    if isinstance(f, (Not, Box, Diamond, Oblig, Perm)):
-        return _P_UNARY
-    return _BIN[type(f)][1]
+    if type(f) in _BIN:
+        return _BIN[type(f)][1]
+    return _P_UNARY if type(f) in _PREFIX else _P_ATOM
 
 
 def _wrap(f, minimum):
@@ -394,25 +441,6 @@ def _wrap(f, minimum):
 MAX_PRINTED_NODES = 1_000_000
 
 
-def _printed_nodes(f: Formula, memo: dict) -> int:
-    """The number of nodes in the tree that pretty prints for f, counted
-    once per node of the DAG (memo maps id(node) to its count)."""
-    n = memo.get(id(f))
-    if n is None:
-        if isinstance(f, (Not, Box, Diamond, Oblig, Perm)):
-            n = 1 + _printed_nodes(f.child, memo)
-        elif isinstance(f, CondOblig):
-            n = 1 + _printed_nodes(f.condition, memo) + \
-                _printed_nodes(f.duty, memo)
-        elif isinstance(f, (Var, Top, Bot)):
-            n = 1
-        else:
-            n = 1 + _printed_nodes(f.left, memo) + \
-                _printed_nodes(f.right, memo)
-        memo[id(f)] = n
-    return n
-
-
 def pretty(f: Formula) -> str:
     """Minimal-parenthesization printer; parse(pretty(f)) == f.
 
@@ -420,7 +448,7 @@ def pretty(f: Formula) -> str:
     larger than it is: a formula that would print as more than
     MAX_PRINTED_NODES nodes raises ValueError instead.
     """
-    nodes = _printed_nodes(f, {})
+    nodes = fold(f, lambda g, operands: 1 + sum(operands))
     if nodes > MAX_PRINTED_NODES:
         raise ValueError(f"formula prints as {nodes} nodes, more than "
                          f"{MAX_PRINTED_NODES}")
@@ -428,27 +456,19 @@ def pretty(f: Formula) -> str:
 
 
 def _pretty(f: Formula) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Not):
-        s = _wrap(f.child, _P_UNARY)
+    cls = type(f)
+    if cls in _PREFIX:
+        (operand,) = children(f)
+        s = _wrap(operand, _P_UNARY)
         # "~~" would lex as the preference-equivalence operator
-        return "~ " + s if s.startswith("~") else "~" + s
-    if isinstance(f, Box):
-        return "[]" + _wrap(f.child, _P_UNARY)
-    if isinstance(f, Diamond):
-        return "<>" + _wrap(f.child, _P_UNARY)
-    if isinstance(f, Oblig):
-        return "O " + _wrap(f.child, _P_UNARY)
-    if isinstance(f, Perm):
-        return "P " + _wrap(f.child, _P_UNARY)
-    if isinstance(f, CondOblig):
-        return f"C({_pretty(f.condition)}, {_pretty(f.duty)})"
-    op, lvl = _BIN[type(f)]
+        return ("~ " if cls is Not and s.startswith("~") else _PREFIX[cls]) + s
+    if cls is CondOblig:
+        return "C(%s, %s)" % tuple(map(_pretty, children(f)))
+    if cls in _CONSTANTS:
+        return _CONSTANTS[cls]
+    if cls not in _BIN:
+        return f.name   # a variable or metavariable
+    op, lvl = _BIN[cls]
     if lvl == _P_IMP:  # right-associative
         left = _wrap(f.left, lvl + 1)
         right = _wrap(f.right, lvl)
@@ -465,34 +485,35 @@ def _pretty(f: Formula) -> str:
 
 def surface_variables(f: Formula) -> set[str]:
     """All variable names occurring in a surface (or core) formula."""
+    # fold's callback per node would slow every desugar down measurably
     out = set()
+    seen = {id(f)}
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Var):
+        if type(g) is Var:
             out.add(g.name)
-        elif isinstance(g, (Not, Box, Diamond, Oblig, Perm)):
-            stack.append(g.child)
-        elif isinstance(g, CondOblig):
-            stack.extend((g.condition, g.duty))
-        elif not isinstance(g, (Top, Bot)):
-            stack.extend((g.left, g.right))
+            continue
+        for name in _OPERANDS[type(g)]:
+            h = getattr(g, name)
+            if id(h) not in seen:
+                seen.add(id(h))
+                stack.append(h)
     return out
 
 
 def _height(f: Formula) -> int:
-    """Number of nodes on the longest root-to-leaf path of a formula."""
+    """Number of nodes on the longest root-to-leaf path of a parsed formula,
+    which is a tree: nodes are not memoised."""
     best = 0
     stack = [(f, 1)]
     while stack:
         g, level = stack.pop()
-        best = max(best, level)
-        if isinstance(g, (Not, Box, Diamond, Oblig, Perm)):
-            stack.append((g.child, level + 1))
-        elif isinstance(g, CondOblig):
-            stack.extend(((g.condition, level + 1), (g.duty, level + 1)))
-        elif not isinstance(g, (Var, Top, Bot)):
-            stack.extend(((g.left, level + 1), (g.right, level + 1)))
+        if level > best:
+            best = level
+        level += 1
+        for name in _OPERANDS[type(g)]:
+            stack.append((getattr(g, name), level))
     return best
 
 
@@ -591,12 +612,8 @@ def variables(f: Formula) -> list[str]:
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting depth of weak-preference nodes (0 = purely Boolean)."""
-    if isinstance(f, Var):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, PrefWeak):
-        return 1 + max(modal_depth(f.left), modal_depth(f.right))
-    raise TypeError(f"not a core formula: {f!r}")
+    def depth(g, operands):
+        if type(g) not in _CORE:
+            raise TypeError(f"not a core formula: {g!r}")
+        return max(operands, default=0) + (type(g) is PrefWeak)
+    return fold(f, depth)

@@ -65,6 +65,13 @@ class TestParseCommand:
         assert r.returncode == 3
         assert "nested deeper" in r.stderr
 
+    def test_long_chain_is_a_syntax_error(self):
+        # the parser builds a left-deep chain without recursing: the depth
+        # check must not recurse over it either
+        r = run_cli("parse", " & ".join(["p"] * 5000))
+        assert r.returncode == 3
+        assert "nested deeper" in r.stderr
+
 
 class TestEvalCommand:
     def test_appendix_oblig(self, appendix_path):
@@ -342,3 +349,25 @@ class TestProveCommand:
     def test_missing_file(self):
         assert run_cli("prove", "--check", "no-such-file.json")\
             .returncode == 3
+
+    @pytest.mark.parametrize("doc, problem", [
+        ([], "a derivation document must be an object"),
+        ({"steps": 5}, '"steps" must be an array'),
+        ({"steps": [7]}, "each step must be an object"),
+        ({"steps": [{"kind": "mp", "refs": "ab"}]}, '"refs" must be an array'),
+        ({"steps": [{"kind": "nec", "ref": "x"}]}, '"ref" must be an integer'),
+        ({"steps": [{"kind": "axiom", "schema": "PC-taut",
+                     "formula": "p -> p"}, {"kind": "nec", "ref": 1.5}]},
+         '"ref" must be an integer'),
+        ({"steps": [{"kind": "axiom", "schema": ["K"], "formula": "p"}]},
+         '"schema" must be a string'),
+        ({"steps": [{"kind": "axiom", "schema": "T", "subst": {"phi": 1}}]},
+         "\"subst\" entry 'phi' must be a string"),
+    ])
+    def test_malformed_derivation_is_a_usage_error(self, tmp_path, doc,
+                                                   problem):
+        path = tmp_path / "derivation.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("prove", "--check", str(path))
+        assert r.returncode == 3
+        assert problem in r.stderr

@@ -208,3 +208,12 @@ class TestStepFromDict:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             step_from_dict({"kind": "lemma"})
+
+    @pytest.mark.parametrize("refs", [[1], [1, 2, 3], [1, True], [1, 2.0]])
+    def test_mp_needs_two_integer_refs(self, refs):
+        with pytest.raises(ValueError, match="refs"):
+            step_from_dict({"kind": "mp", "refs": refs})
+
+    def test_refs_are_kept(self):
+        assert step_from_dict({"kind": "mp", "refs": [2, 1]}).refs == (2, 1)
+        assert step_from_dict({"kind": "nec", "ref": 1}).refs == (1,)
