@@ -60,8 +60,27 @@ any member of an orbit, or at any row of a valuation, maps to one at the
 first, which is searched earlier, so the first model found is the one a
 search of every case would find.
 
-Masks become frozensets of worlds only to key selection cells, to call the
-admissibility policies and to build the reported Model.
+The oracle decides per mask the last atom that reads a selection cell. Once
+no later atom reads a cell (Goal.later_cells), the rest of the goal depends
+only on the mask the atom denotes, and the picks of each world make the atom
+true there, false, or either. So the atom's masks are forced | S for every
+subset S of either. Per frame, the oracle memoises whether one of them
+satisfies the goal somewhere, keyed by the atom, forced, either and the slots
+below the atom, and walks the atom's pick branches only when one does: the
+walk, and so the first model and its selection, is unchanged.
+
+A frame is searched as a sequence of valuation ints, one per world in frame
+order, bit n-1-i standing for the i-th variable of the sorted universe: a
+basic frame is a sorted combination of valuations, and the power set is
+range(2^n), in powerset_worlds' order. Cells are masks over world indices,
+and the admissibility policies map (valuations, world index, cell mask) to
+the indices of the admissible picks, ascending. That is the worlds' name
+order on the power set and on every basic frame with at most ten worlds of
+one valuation (make_worlds' suffix "#10" sorts before "#2"), so there the
+first model found is the one a search ordering World objects by name finds.
+Worlds, and frozensets of them, are built only for a model about to be
+reported, and by the oracle for its weak orders, which rank worlds by name:
+the rank solver builds none for a frame it refutes.
 """
 
 from __future__ import annotations
@@ -79,8 +98,11 @@ from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
 from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
-                      WeightedRegime, check_grid, delta_minimal,
-                      enumerate_weight_orders, forced_choice, p_nearest)
+                      WeightedRegime, check_grid, enumerate_weight_orders,
+                      subset_sums)
+# the World policies, which the mask policies below replace in the search,
+# stay bound here: benchmarks/tracer.py counts their calls by these names
+from .regimes import delta_minimal, forced_choice, p_nearest  # noqa: F401
 
 # the most worlds the weak-order oracle enumerates orders on
 ORACLE_WORLD_CAP = 6
@@ -143,28 +165,56 @@ class Verdict:
 
 
 # --- Admissible-pick policies ------------------------------------------------
+#
+# A frame is a sequence of valuation ints, bit n-1-i standing for the i-th
+# variable of its sorted universe, and a cell is a mask over its world
+# indices. A policy maps (frame valuations, world index, cell mask) to the
+# indices of the admissible picks, ascending.
 
-def _by_name(worlds):
-    return tuple(sorted(worlds, key=lambda w: w.name))
+def admissible_basic(vals, x, cell):
+    return tuple(_bits(cell))
 
 
-def admissible_basic(w, prop):
-    return _by_name(prop)
+def admissible_delta(vals, x, cell):
+    """The members whose difference with world x is subset-minimal."""
+    base = vals[x]
+    diffs = [(vals[j] ^ base, j) for j in _bits(cell)]
+    # a difference is minimal when no smaller minimal one is a subset of it
+    minimal = []
+    for d in sorted({d for d, _ in diffs}, key=int.bit_count):
+        if all(e & ~d for e in minimal):
+            minimal.append(d)
+    minimal = set(minimal)
+    return tuple(j for d, j in diffs if d in minimal)
 
 
-def admissible_delta(w, prop):
-    return _by_name(delta_minimal(w, prop))
+def admissible_forced(vals, x, cell):
+    """The first member whose difference with world x is a subset of every
+    other member's, that is, equals their intersection; such a pick is
+    nearest under every weighting."""
+    base = vals[x]
+    common = -1
+    for j in _bits(cell):
+        common &= vals[j] ^ base
+    for j in _bits(cell):
+        if vals[j] ^ base == common:
+            return (j,)
+    return ()
 
 
 def admissible_weighted(weighting):
-    def policy(w, prop):
-        return _by_name(p_nearest(weighting, w, prop))
+    """The nearest members under the weighting, whose distances are read off
+    one table of the subset sums of its weights, over the weighting's
+    variables in sorted order: the universe of every frame searched with
+    it."""
+    table = subset_sums([weighting[v] for v in sorted(weighting, reverse=True)])
+
+    def policy(vals, x, cell):
+        base = vals[x]
+        dist = [(table[vals[j] ^ base], j) for j in _bits(cell)]
+        best = min(dist)[0]
+        return tuple(j for d, j in dist if d == best)
     return policy
-
-
-def admissible_forced(w, prop):
-    pick = forced_choice(w, prop)
-    return (pick,) if pick is not None else ()
 
 
 # --- Compiled goals ------------------------------------------------------------
@@ -237,9 +287,9 @@ class Goal:
         # of two atoms or not, so the same pattern can stand for different
         # constraints under other sides.
         self.orderable = {}
-        # (each atom fixed true, fixed false or free, a row's valuation) ->
-        # the mask of the free atoms' assignments satisfying the goal there,
-        # filled by the rank solver
+        # (each atom fixed true, fixed false or free, the row's truth over
+        # the goal's variables) -> the mask of the free atoms' assignments
+        # satisfying the goal there, filled by the rank solver
         self.satisfying = {}
 
     @classmethod
@@ -273,25 +323,44 @@ def _bits(mask):
         mask ^= low
 
 
-def _world_masks(worlds, names):
-    return {v: sum(1 << j for j, w in enumerate(worlds) if v in w.members)
-            for v in names}
+def _variable_masks(universe, vals, names):
+    """Each named variable's mask over the frame's world indices."""
+    n = len(universe)
+    masks = {}
+    for name in names:
+        bit = 1 << (n - 1 - universe.index(name))
+        masks[name] = sum(1 << j for j, val in enumerate(vals) if val & bit)
+    return masks
 
 
-class _Props:
-    """Maps world-index masks to the frozensets that key selection cells,
-    building each frozenset once per frame."""
+def _powerset(universe):
+    """The power-set frame: world j has valuation j, in the order and with
+    the names of powerset_worlds."""
+    return range(1 << len(universe))
 
-    def __init__(self, worlds):
-        self.worlds = worlds
-        self.cache = {}
 
-    def __call__(self, mask):
-        prop = self.cache.get(mask)
-        if prop is None:
-            prop = frozenset(self.worlds[j] for j in _bits(mask))
-            self.cache[mask] = prop
-        return prop
+def _worlds(universe, vals, mode):
+    """The World objects of a frame, built for a model about to be reported
+    (and by the oracle, whose weak orders rank worlds by name): the power
+    set for a delta model, else make_worlds of the valuations."""
+    if mode == "delta":
+        return powerset_worlds(universe)
+    n = len(universe)
+    return make_worlds(universe, [
+        [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
+        for val in vals])
+
+
+def _model(universe, worlds, utility, selection, mode, weights):
+    """The Model of a selection keyed by (world index, cell mask) to pick
+    index, with one frozenset of worlds per distinct cell."""
+    props = {}
+    for _, mask in selection:
+        if mask not in props:
+            props[mask] = frozenset(worlds[j] for j in _bits(mask))
+    return Model(universe, worlds, utility,
+                 {(worlds[at], props[mask]): worlds[j]
+                  for (at, mask), j in selection.items()}, mode, weights)
 
 
 def _assignment_masks(k):
@@ -328,11 +397,11 @@ def _rank_constraints(sides, t, combo):
 
 # --- Search over a fixed world frame -----------------------------------------
 
-def _rows(worlds):
-    """The first world of each valuation, in frame order."""
+def _rows(vals):
+    """The index of the first world of each valuation, in frame order."""
     rows = {}
-    for w in worlds:
-        rows.setdefault(w.members, w)
+    for j, val in enumerate(vals):
+        rows.setdefault(val, j)
     return rows.values()
 
 
@@ -359,15 +428,14 @@ def _orbit_orders(worlds):
             yield utility
 
 
-def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
+def _solver_search(universe, vals, goal, admissible, mode, weights=None):
     """Depth <= 1 backend: preference operands denote fixed propositions, so
     a falsifying utility is a solution of rank comparisons among the picked
     worlds of the witness row."""
     # operands of a depth <= 1 goal contain no atom, so the atom slots may
     # stay 0 while the operands are evaluated over the worlds
-    den = goal.slots(_world_masks(worlds, goal.variables))
-    goal.run(den, (1 << len(worlds)) - 1)
-    prop = _Props(worlds)
+    den = goal.slots(_variable_masks(universe, vals, goal.variables))
+    goal.run(den, (1 << len(vals)) - 1)
     fixed = {}
     free = []
     for slot, l, r in goal.atoms:
@@ -377,7 +445,7 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
         elif left == right:
             fixed[slot] = True       # one cell on both sides
         else:
-            free.append((slot, prop(left), prop(right)))
+            free.append((slot, left, right))
     k = len(free)
     everything = (1 << (1 << k)) - 1
     truth = {}
@@ -392,13 +460,16 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
                 cells.append(cell)
     sides = tuple((cells.index(left), cells.index(right))
                   for _, left, right in free)
-    index = {w: j for j, w in enumerate(worlds)}
     decided = goal.orderable.setdefault(sides, {})
     status = tuple(fixed.get(slot) for slot, _, _ in goal.atoms)
     satisfying_at = goal.satisfying
+    n = len(universe)
+    var_bits = [(name, 1 << (n - 1 - universe.index(name)))
+                for name in goal.variables]
     # a row's pick-index lists -> its set of patterns; in a basic frame every
     # row has the same lists
     patterns_of = {}
+    worlds = None
 
     def first_allowed(pattern, assignments):
         """The lowest assignment in the mask assignments under which some
@@ -420,24 +491,23 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
         allowed = ok & assignments
         return allowed & -allowed
 
-    for w in _rows(worlds):
-        satisfying = satisfying_at.get((status, w.members))
+    for x in _rows(vals):
+        val = vals[x]
+        # the row's truth over the goal's variables
+        row = tuple(val & bit != 0 for _, bit in var_bits)
+        satisfying = satisfying_at.get((status, row))
         if satisfying is None:
-            values = goal.slots({v: everything if v in w.members else 0
-                                 for v in goal.variables})
+            values = goal.slots({name: everything if true else 0
+                                 for (name, _), true in zip(var_bits, row)})
             for slot, mask in truth.items():
                 values[slot] = mask
             goal.run(values, everything)
-            satisfying = satisfying_at[(status, w.members)] = \
-                values[goal.root]
+            satisfying = satisfying_at[(status, row)] = values[goal.root]
         if not satisfying:
             continue
-        pick_lists = [admissible(w, cell) for cell in cells]
-        if any(not picks for picks in pick_lists):
+        pick_lists = tuple(admissible(vals, x, cell) for cell in cells)
+        if not all(pick_lists):
             continue
-        # the solver ranks world indices, which hash cheaply
-        pick_lists = tuple(tuple(index[x] for x in picks)
-                           for picks in pick_lists)
         patterns = patterns_of.get(pick_lists)
         if patterns is None:
             patterns = patterns_of[pick_lists] = set(
@@ -460,53 +530,77 @@ def _solver_search(universe, worlds, goal, admissible, mode, weights=None):
                     continue
                 ranks = solve_order_constraints(
                     _rank_constraints(sides, t, combo))
-                utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
-                selection = {(w, cell): worlds[j]
-                             for cell, j in zip(cells, combo)}
-                model = Model(universe, worlds, utility, selection, mode,
-                              weights)
-                if holds_at(model, goal.formula, w):
-                    return model, w
+                if worlds is None:
+                    worlds = _worlds(universe, vals, mode)
+                model = _model(universe, worlds,
+                               {w: ranks.get(j, 0)
+                                for j, w in enumerate(worlds)},
+                               {(x, cell): j for cell, j in zip(cells, combo)},
+                               mode, weights)
+                if holds_at(model, goal.formula, worlds[x]):
+                    return model, worlds[x]
     return None
 
 
-def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
+def _submasks(mask):
+    """Every mask whose bits are a subset of mask's, mask first."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
     """Any-depth backend: enumerate weak orders on the worlds, then resolve
     preference atoms stratum by stratum (innermost operands first), branching
     over admissible picks for each selection cell as it arises."""
-    if len(worlds) > ORACLE_WORLD_CAP:
+    n = len(vals)
+    if n > ORACLE_WORLD_CAP:
         raise BudgetExceeded(
-            f"{len(worlds)} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
-    n = len(worlds)
+            f"{n} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
+    worlds = _worlds(universe, vals, mode)
     full = (1 << n) - 1
     atoms = goal.atoms
-    values = goal.slots(_world_masks(worlds, goal.variables))
-    prop = _Props(worlds)
-    index = {w: j for j, w in enumerate(worlds)}
+    values = goal.slots(_variable_masks(universe, vals, goal.variables))
     admissible_picks = {}
+    # (atom, forced mask, either mask, slots below the atom) -> whether some
+    # mask the atom can take there satisfies the goal somewhere
+    rests = {}
 
     def picks(j, mask):
         """Indices of the admissible picks at world j from the cell mask;
         the policies are pure, so each cell is asked once per frame."""
         got = admissible_picks.get((j, mask))
         if got is None:
-            got = tuple(index[x] for x in admissible(worlds[j], prop(mask)))
-            admissible_picks[(j, mask)] = got
+            got = admissible_picks[(j, mask)] = admissible(vals, j, mask)
         return got
 
     # the selection under construction maps (world index, cell mask) to the
     # index of the picked world
     def finish(utility, selection):
         goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
+        model = None
         for j in _bits(values[goal.root]):
-            w = worlds[j]
-            model = Model(universe, worlds, utility,
-                          {(worlds[at], prop(mask)): worlds[x]
-                           for (at, mask), x in selection.items()},
-                          mode, weights)
-            if holds_at(model, goal.formula, w):   # mandatory re-verification
-                return model, w
+            if model is None:
+                model = _model(universe, worlds, utility, selection, mode,
+                               weights)
+            if holds_at(model, goal.formula, worlds[j]):  # re-verification
+                return model, worlds[j]
         return None
+
+    def rest_holds(i, mask):
+        """Whether the goal's root is nonempty when atom i denotes mask and
+        every later atom compares a slot with itself."""
+        slot = atoms[i][0]
+        values[slot] = mask
+        for next_slot, l, _ in atoms[i + 1:]:
+            goal.run(values, full, slot + 1, next_slot)
+            values[next_slot] = full if values[l] else 0
+            slot = next_slot
+        goal.run(values, full, slot + 1)
+        return values[goal.root] != 0
 
     def assign_atom(i, utility, rank, selection):
         if i == len(atoms):
@@ -521,6 +615,29 @@ def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
             values[slot] = full if (left and left == right) else 0
             return assign_atom(i + 1, utility, rank, selection)
         later = goal.later_cells[i]
+        if not later:
+            # no later atom reads a cell, so the rest of the goal depends
+            # only on this atom's mask: forced | S for a subset S of either
+            forced = either = 0
+            for j in range(n):
+                lefts, rights = [
+                    (selection[cell],) if cell in selection else picks(*cell)
+                    for cell in ((j, left), (j, right))]
+                truths = {rank[xl] >= rank[xr]
+                          for xl in lefts for xr in rights}
+                if not truths:
+                    return None
+                if len(truths) == 2:
+                    either |= 1 << j
+                elif True in truths:
+                    forced |= 1 << j
+            key = (i, forced, either, tuple(values[:slot]))
+            holds = rests.get(key)
+            if holds is None:
+                holds = rests[key] = any(rest_holds(i, forced | sub)
+                                         for sub in _submasks(either))
+            if not holds:
+                return None
 
         def per_world(j, members):
             if j == n:
@@ -566,9 +683,9 @@ def _oracle_search(universe, worlds, goal, admissible, mode, weights=None):
     return None
 
 
-def _search_worlds(universe, worlds, goal, admissible, mode, weights=None):
+def _search_worlds(universe, vals, goal, admissible, mode, weights=None):
     search = _solver_search if goal.backend == "solver" else _oracle_search
-    return search(universe, worlds, goal, admissible, mode, weights)
+    return search(universe, vals, goal, admissible, mode, weights)
 
 
 # --- Regime searchers --------------------------------------------------------
@@ -579,12 +696,10 @@ def find_countermodel_basic(goal, max_worlds):
     utility."""
     goal = Goal.of(goal)
     universe = tuple(goal.variables)
-    valuations = [w.members for w in powerset_worlds(universe)]
     for count in range(1, max_worlds + 1):
-        for combo in itertools.combinations_with_replacement(
-                valuations, count):
-            worlds = make_worlds(universe, combo)
-            found = _search_worlds(universe, worlds, goal, admissible_basic,
+        for vals in itertools.combinations_with_replacement(
+                _powerset(universe), count):
+            found = _search_worlds(universe, vals, goal, admissible_basic,
                                    "basic")
             if found:
                 return found
@@ -616,8 +731,8 @@ def find_countermodel_delta(goal, extra_vars=0, admissible=admissible_delta):
     ones (power-set worlds, delta-based selection, free utility)."""
     goal = Goal.of(goal)
     universe = _delta_universe(goal.variables, extra_vars)
-    worlds = powerset_worlds(universe)
-    return _search_worlds(universe, worlds, goal, admissible, "delta")
+    return _search_worlds(universe, _powerset(universe), goal, admissible,
+                          "delta")
 
 
 def _per_weighting(goal, universe, weightings, every=False):
@@ -625,10 +740,10 @@ def _per_weighting(goal, universe, weightings, every=False):
     the weighting's nearest picks. Returns the first (model, world) found,
     or with every=True that of the first weighting when every weighting has
     one, else None."""
-    worlds = powerset_worlds(universe)
+    vals = _powerset(universe)
     first = None
     for weighting in weightings:
-        found = _search_worlds(universe, worlds, goal,
+        found = _search_worlds(universe, vals, goal,
                                admissible_weighted(weighting), "delta",
                                weighting)
         if found and not every:

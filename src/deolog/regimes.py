@@ -167,16 +167,23 @@ def forced_choice(w: World, prop: frozenset) -> World | None:
     return None
 
 
-def _subset_sum_signature(universe, weighting):
+def subset_sums(weights) -> list:
+    """The 2^n subset sums of a sequence of n weights: entry d is the sum of
+    the weights[i] whose bit 1 << i is set in d. Built by doubling, each sum
+    one addition: sums[d | 1 << i] = sums[d] + weights[i] for d < 1 << i."""
+    sums = [0]
+    for weight in weights:
+        sums += [s + weight for s in sums]
+    return sums
+
+
+def _subset_sum_signature(weights):
     """Dense ranks of the 2^n subset weight-sums, in fixed subset order.
     Two weightings with equal signatures induce the same weak order on every
     comparison the semantics can observe."""
-    sums = []
-    for r in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, r):
-            sums.append(sum(weighting[v] for v in combo))
+    sums = subset_sums(weights)
     order = {s: i for i, s in enumerate(sorted(set(sums)))}
-    return tuple(order[s] for s in sums)
+    return tuple(map(order.__getitem__, sums))
 
 
 def enumerate_weight_orders(universe, weight_class: WeightClass,
@@ -200,7 +207,7 @@ def enumerate_weight_orders(universe, weight_class: WeightClass,
         weighting = dict(zip(universe, values))
         if not weight_class.admits(weighting):
             continue
-        sig = _subset_sum_signature(universe, weighting)
+        sig = _subset_sum_signature(values)
         if sig in seen:
             continue
         seen.add(sig)

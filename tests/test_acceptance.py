@@ -12,10 +12,10 @@ from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefEq,
                            PrefStrict, PrefWeak, Var, parse)
 from deolog.models import holds_at
 from deolog.orders import bruteforce_weak_orders, ordered_bell
-from deolog.models import World, powerset_worlds
+from deolog.models import World
 from deolog.regimes import DeltaRegime, forced_choice
-from deolog.engine import (Goal, Sequent, _oracle_search, _solver_search,
-                           admissible_delta, check,
+from deolog.engine import (Goal, Sequent, _oracle_search, _powerset,
+                           _solver_search, admissible_delta, check,
                            check_forall_weights_invalidity, satisfiable)
 from deolog.suite import derivation_manifest, run_suite
 
@@ -190,7 +190,7 @@ def test_criterion_12_oracle_equivalence(capsys):
         goal = Goal(sequent.goal())
         # both backends on the same Delta{0} frame
         universe = tuple(goal.variables)
-        frame = (universe, powerset_worlds(universe), goal, admissible_delta,
+        frame = (universe, _powerset(universe), goal, admissible_delta,
                  "delta")
         via_solver = _solver_search(*frame) is not None
         via_oracle = _oracle_search(*frame) is not None

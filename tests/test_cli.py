@@ -8,6 +8,8 @@ import pytest
 
 import deolog
 from deolog import cli
+from deolog.documents import model_from_doc
+from deolog.models import validate_model
 
 DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
 # 13 variables: one more than a universe may hold
@@ -184,6 +186,17 @@ class TestCheckCommand:
         r = run_cli("check", f"{f} |- {f}", timeout=60)
         assert r.returncode == 0
         assert "verdict: valid" in r.stdout
+
+    def test_long_premise_list_is_refuted(self):
+        # the goal is a left-nested conjunction 1 500 deep, which the
+        # re-verification of the model used to recurse through
+        premises = " ; ".join(["p"] * 1500)
+        r = run_cli("check", f"{premises} |- q", "--regime", "delta",
+                    "--json")
+        assert r.returncode == 1, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["verdict"] == "invalid"
+        assert validate_model(model_from_doc(doc["countermodel"])) == []
 
     def test_weighted_invalid_weight_robust(self):
         r = run_cli("check", "O (p & q) |- O q", "--regime", "weighted",

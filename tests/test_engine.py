@@ -17,9 +17,10 @@ from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
 from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
-                           _bits, _oracle_search, _Props, _solver_search,
-                           _world_masks, admissible_basic,
-                           admissible_delta, admissible_weighted, check,
+                           _bits, _model, _oracle_search, _orbit_orders,
+                           _powerset, _solver_search, _variable_masks,
+                           _worlds, admissible_basic, admissible_delta,
+                           admissible_forced, admissible_weighted, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
@@ -344,13 +345,12 @@ def test_bitmask_evaluator_agrees_with_holds_at(formula, seed, three):
 
 # --- Rank-solver rows decided once per pick pattern ---------------------------
 
-def _per_combination_search(universe, worlds, goal, admissible, mode,
+def _per_combination_search(universe, vals, goal, admissible, mode,
                             weights=None):
     """The rank solver as it was before pick patterns: every pick
     combination of every satisfying assignment solved on its own."""
-    den = goal.slots(_world_masks(worlds, goal.variables))
-    goal.run(den, (1 << len(worlds)) - 1)
-    prop = _Props(worlds)
+    den = goal.slots(_variable_masks(universe, vals, goal.variables))
+    goal.run(den, (1 << len(vals)) - 1)
     fixed = {}
     free = []
     for slot, l, r in goal.atoms:
@@ -360,7 +360,7 @@ def _per_combination_search(universe, worlds, goal, admissible, mode,
         elif left == right:
             fixed[slot] = True
         else:
-            free.append((slot, prop(left), prop(right)))
+            free.append((slot, left, right))
     k = len(free)
     everything = (1 << (1 << k)) - 1
     truth = {}
@@ -374,8 +374,8 @@ def _per_combination_search(universe, worlds, goal, admissible, mode,
             if cell not in cells:
                 cells.append(cell)
     sides = [(cells.index(left), cells.index(right)) for _, left, right in free]
-    index = {w: j for j, w in enumerate(worlds)}
-    for w in worlds:
+    worlds = _worlds(universe, vals, mode)
+    for x, w in enumerate(worlds):
         values = goal.slots({v: everything if v in w.members else 0
                              for v in goal.variables})
         for slot, mask in truth.items():
@@ -384,10 +384,9 @@ def _per_combination_search(universe, worlds, goal, admissible, mode,
         satisfying = values[goal.root]
         if not satisfying:
             continue
-        pick_lists = [admissible(w, cell) for cell in cells]
+        pick_lists = [admissible(vals, x, cell) for cell in cells]
         if any(not picks for picks in pick_lists):
             continue
-        pick_lists = [[index[x] for x in picks] for picks in pick_lists]
         for t in _bits(satisfying):
             bits = [(t >> (k - 1 - i)) & 1 for i in range(k)]
             for combo in itertools.product(*pick_lists):
@@ -399,10 +398,9 @@ def _per_combination_search(universe, worlds, goal, admissible, mode,
                 if ranks is None:
                     continue
                 utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
-                selection = {(w, cell): worlds[j]
-                             for cell, j in zip(cells, combo)}
-                model = Model(universe, worlds, utility, selection, mode,
-                              weights)
+                selection = {(x, cell): j for cell, j in zip(cells, combo)}
+                model = _model(universe, worlds, utility, selection, mode,
+                               weights)
                 if holds_at(model, goal.formula, w):
                     return model, w
     return None
@@ -419,9 +417,9 @@ def _depth1(names):
 
 PQ = ("p", "q")
 # every basic frame over {p, q} of up to three worlds
-BASIC_FRAMES = [make_worlds(PQ, combo) for count in (1, 2, 3)
-                for combo in itertools.combinations_with_replacement(
-                    [w.members for w in powerset_worlds(PQ)], count)]
+BASIC_FRAMES = [vals for count in (1, 2, 3)
+                for vals in itertools.combinations_with_replacement(
+                    _powerset(PQ), count)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -446,12 +444,12 @@ def test_pattern_search_matches_per_combination(formula, policy, weights):
         runs = [(frame, admissible_basic, "basic", None)
                 for frame in BASIC_FRAMES]
     elif policy == "delta":
-        runs = [(powerset_worlds(PQ), admissible_delta, "delta", None)]
+        runs = [(_powerset(PQ), admissible_delta, "delta", None)]
     else:
-        runs = [(powerset_worlds(PQ), admissible_weighted(weighting),
+        runs = [(_powerset(PQ), admissible_weighted(weighting),
                  "delta", weighting)]
-    for worlds, admissible, mode, model_weights in runs:
-        args = (PQ, worlds, goal, admissible, mode, model_weights)
+    for vals, admissible, mode, model_weights in runs:
+        args = (PQ, vals, goal, admissible, mode, model_weights)
         assert _solver_search(*args) == _per_combination_search(*args)
 
 
@@ -478,7 +476,8 @@ def _every_order(worlds):
     yield from engine.bruteforce_weak_orders(worlds)
 
 
-VALUATIONS = [w.members for w in powerset_worlds(PQ)]
+# the valuations over {p, q} as frame ints: bit 1 is p, bit 0 is q
+VALUATIONS = list(_powerset(PQ))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -487,12 +486,10 @@ VALUATIONS = [w.members for w in powerset_worlds(PQ)]
        .flatmap(lambda vals: st.permutations(vals + [vals[0]])))
 # orbits keyed by the repeated group alone merge orders that differ in the
 # rank of the single world, and miss the first model
-@example(formula=Sequent.parse("O O q |- O q").goal(),
-         frame=[frozenset(), frozenset(), frozenset({"q"})])
+@example(formula=Sequent.parse("O O q |- O q").goal(), frame=[0, 0, 1])
 def test_symmetric_search_matches_every_row_and_order(formula, frame):
-    worlds = make_worlds(PQ, frame)
     goal = Goal(formula)
-    args = (PQ, worlds, goal, admissible_basic, "basic")
+    args = (PQ, tuple(frame), goal, admissible_basic, "basic")
     if goal.depth <= 1:
         # the reference searches every row, each on its own
         assert _solver_search(*args) == _per_combination_search(*args)
@@ -524,14 +521,175 @@ def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
 
 
 def test_solver_searches_one_row_per_valuation():
-    worlds = make_worlds(PQ, [set(), set(), {"q"}, {"q"}])
+    # worlds 00, 00#1, 01 and 01#1
+    vals = (0, 0, 1, 1)
     rows = []
 
-    def no_picks(w, prop):
-        rows.append(w.name)
+    def no_picks(vals, x, cell):
+        rows.append(x)
         return ()
 
     goal = Goal(Not(PrefWeak(Var("q"), Not(Var("q")))))
-    assert _solver_search(PQ, worlds, goal, no_picks, "basic") is None
-    # both cells are asked at each row searched
-    assert rows == ["00", "00", "01", "01"]
+    assert _solver_search(PQ, vals, goal, no_picks, "basic") is None
+    # both cells are asked at each row searched: worlds 00 and 01
+    assert rows == [0, 0, 2, 2]
+
+
+# --- Frames as valuation ints ---------------------------------------------------
+
+def _frames(max_vars, max_basic_worlds):
+    """(universe, frame, mode): power sets of 1 to max_vars variables, and
+    sorted basic frames with a repeated valuation, whose index order is
+    their worlds' name order."""
+    def of_universe(n):
+        universe = ("p", "q", "r", "s")[:n]
+        power = st.just((universe, tuple(_powerset(universe)), "delta"))
+        basic = st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                         max_size=max_basic_worlds - 1).map(
+            lambda vals: (universe, tuple(sorted(vals + vals[:1])), "basic"))
+        return st.one_of(power, basic)
+    return st.integers(1, max_vars).flatmap(of_universe)
+
+
+@st.composite
+def _cells(draw):
+    universe, vals, mode = draw(_frames(4, 6))
+    x = draw(st.integers(0, len(vals) - 1))
+    cell = draw(st.integers(1, (1 << len(vals)) - 1))
+    weights = draw(st.tuples(*[st.integers(1, 9) for _ in universe]))
+    return universe, vals, mode, x, cell, dict(zip(universe, weights))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_cells())
+def test_mask_policies_match_world_policies(case):
+    universe, vals, mode, x, cell, weighting = case
+    worlds = _worlds(universe, vals, mode)
+    assert [w.name for w in worlds] == sorted(w.name for w in worlds)
+    w, prop = worlds[x], frozenset(worlds[j] for j in _bits(cell))
+
+    def indices(answer):
+        """The indices of the worlds of a World policy's answer, sorted by
+        name."""
+        return tuple(worlds.index(v) for v in
+                     sorted(answer, key=lambda v: v.name))
+
+    assert admissible_basic(vals, x, cell) == indices(prop)
+    assert admissible_delta(vals, x, cell) == indices(delta_minimal(w, prop))
+    forced = forced_choice(w, prop)
+    assert admissible_forced(vals, x, cell) == \
+        (indices([forced]) if forced is not None else ())
+    assert admissible_weighted(weighting)(vals, x, cell) == \
+        indices(p_nearest(weighting, w, prop))
+
+
+def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
+                              weights=None):
+    """The oracle before its last cell-reading atom was decided per mask:
+    every pick branch of every atom walked."""
+    n = len(vals)
+    worlds = _worlds(universe, vals, mode)
+    full = (1 << n) - 1
+    atoms = goal.atoms
+    values = goal.slots(_variable_masks(universe, vals, goal.variables))
+
+    def finish(utility, selection):
+        goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
+        for j in _bits(values[goal.root]):
+            model = _model(universe, worlds, utility, selection, mode,
+                           weights)
+            if holds_at(model, goal.formula, worlds[j]):
+                return model, worlds[j]
+        return None
+
+    def assign_atom(i, utility, rank, selection):
+        if i == len(atoms):
+            return finish(utility, selection)
+        slot, l, r = atoms[i]
+        goal.run(values, full, atoms[i - 1][0] + 1 if i else 0, slot)
+        left, right = values[l], values[r]
+        if not left or not right or left == right:
+            values[slot] = full if (left and left == right) else 0
+            return assign_atom(i + 1, utility, rank, selection)
+        later = goal.later_cells[i]
+
+        def per_world(j, members):
+            if j == n:
+                values[slot] = members
+                return assign_atom(i + 1, utility, rank, selection)
+            picked = []
+            for cell in ((j, left), (j, right)):
+                if cell in selection:
+                    picked.append(((selection[cell],), False))
+                else:
+                    picked.append((admissible(vals, *cell), True))
+            (lefts, new_l), (rights, new_r) = picked
+            seen = set()
+            for xl in lefts:
+                for xr in rights:
+                    ranks = (rank[xl], rank[xr])
+                    key = ranks if later else ranks[0] >= ranks[1]
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if new_l:
+                        selection[(j, left)] = xl
+                    if new_r:
+                        selection[(j, right)] = xr
+                    found = per_world(j + 1, members | (1 << j)
+                                      if ranks[0] >= ranks[1] else members)
+                    if new_l:
+                        del selection[(j, left)]
+                    if new_r:
+                        del selection[(j, right)]
+                    if found:
+                        return found
+            return None
+
+        return per_world(0, 0)
+
+    for utility in _orbit_orders(worlds):
+        found = assign_atom(0, utility, [utility[w] for w in worlds], {})
+        if found:
+            return found
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(formula=_core_formulas(PQ),
+       frame=st.one_of(
+           st.lists(st.sampled_from(VALUATIONS), min_size=1, max_size=4)
+           .map(lambda vals: ("basic", tuple(sorted(vals)))),
+           st.just(("delta", tuple(VALUATIONS)))))
+@example(formula=Sequent.parse("O O p |- O p").goal(),
+         frame=("delta", tuple(VALUATIONS)))
+# the last atom reads fresh cells, so its truth is open at some worlds: the
+# memo must try each of them false as well as true
+@example(formula=Not(PrefWeak(Var("p"), Var("q"))),
+         frame=("basic", tuple(VALUATIONS)))
+# an earlier atom on other cells: the memo must tell its masks apart
+@example(formula=And(PrefWeak(Var("p"), Not(Var("p"))),
+                     Not(PrefWeak(Var("q"), Not(Var("q"))))),
+         frame=("basic", (0, 1, 2)))
+def test_memoised_oracle_finds_the_unmemoised_model(formula, frame):
+    mode, vals = frame
+    goal = Goal(formula)
+    if len(goal.atoms) > 4:
+        return
+    admissible = admissible_basic if mode == "basic" else admissible_delta
+    args = (PQ, vals, goal, admissible, mode)
+    assert _oracle_search(*args) == _unmemoised_oracle_search(*args)
+
+
+def test_qualified_valid_basic_check_builds_no_worlds(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return make_worlds(*args)
+
+    monkeypatch.setattr(engine, "make_worlds", counted)
+    verdict = check(Sequent.parse("p >= q ; q >= r |- p >= r"), BASIC4)
+    assert verdict.kind == "qualified-valid"
+    # no frame has a model, so none is built
+    assert built == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from deolog.models import Model, World, powerset_worlds, validate_model
 from deolog.regimes import (DEFAULT_GRID, WeightClass, delta_minimal,
                             enumerate_weight_orders, forced_choice,
-                            p_nearest, weighted_distance)
+                            p_nearest, subset_sums, weighted_distance)
 
 
 def _worlds(universe):
@@ -186,3 +187,40 @@ class TestEnumerateWeightOrders:
         reps = enumerate_weight_orders(("p",), WeightClass(), (1, 2))
         assert reps == [{"p": 1}]
         assert type(reps[0]["p"]) is int
+
+
+def _summed_weight_orders(universe, weight_class, grid):
+    """enumerate_weight_orders as it was, summing each subset's weights on
+    its own."""
+    seen = set()
+    out = []
+    for values in itertools.product(grid, repeat=len(universe)):
+        weighting = dict(zip(universe, values))
+        if not weight_class.admits(weighting):
+            continue
+        sums = [sum(weighting[v] for v in combo)
+                for r in range(len(universe) + 1)
+                for combo in itertools.combinations(universe, r)]
+        order = {s: i for i, s in enumerate(sorted(set(sums)))}
+        sig = tuple(order[s] for s in sums)
+        if sig not in seen:
+            seen.add(sig)
+            out.append(weighting)
+    return out
+
+
+@pytest.mark.parametrize("universe, text, grid", [
+    (("p", "q", "r"), "q>p,q>r", DEFAULT_GRID),
+    (("p", "q", "r", "s"), "", (1, 2, 3, 5, 8)),
+    (("a", "b"), "", (Fraction(1, 2), 1, Fraction(3, 2))),
+    (("p",), "", DEFAULT_GRID),
+])
+def test_weight_orders_match_summing_each_subset(universe, text, grid):
+    weight_class = WeightClass.parse(text)
+    assert enumerate_weight_orders(universe, weight_class, grid) == \
+        _summed_weight_orders(universe, weight_class, grid)
+
+
+def test_subset_sums_index_weights_by_bit():
+    assert subset_sums([1, 10, 100]) == [0, 1, 10, 11, 100, 101, 110, 111]
+    assert subset_sums([]) == [0]
