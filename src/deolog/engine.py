@@ -52,13 +52,33 @@ valuation maps the frame to itself: every admissibility policy reads only
 the valuation of the world it picks at, and admissible_basic not even that.
 So each frame is searched only up to those swaps. The rank solver searches
 one row per valuation, the first world that has it, and memoises a row's
-satisfying assignments per Goal and its patterns per frame. The oracle
+patterns per frame. The oracle
 takes the weak orders in enumeration order and searches only the first of
 each orbit: it skips an order when an earlier one gave the worlds of each
 valuation the same multiset of ranks, single worlds included. A model at
 any member of an orbit, or at any row of a valuation, maps to one at the
 first, which is searched earlier, so the first model found is the one a
 search of every case would find.
+
+At depth <= 1, what the rank solver reads off a frame before its pick walk
+depends only on the frame's set of valuations: the operands (one denotation
+over all valuations per Goal and universe, cut to the set), the atoms fixed
+by existential import or equal cells and the free ones, the cells as masks
+over valuations with their sides, and each row's satisfying assignments.
+_cells_of derives it once per Goal and set, a mask over the 2^n valuations,
+and every frame over the set maps its cells to world indices; on the power
+set, where world j has valuation j, they are the same masks, so every
+weighting of a rung shares one. find_countermodel_basic decides once per set
+whether any frame over it can hold a model, and skips every frame over a set
+that cannot. Two facts make the skip exact. Repeats only add patterns: rows,
+cells and satisfying assignments stay, and every pick of a frame is still a
+pick once a valuation is repeated. And the pattern in which every cell
+picks a world of its own relaxes all the others, since ranks solving any
+pattern's constraints give each cell the rank of its pick. So when that
+pattern is orderable under no assignment satisfying some row of the set
+(Goal.first_allowed, on the same memo as the pick walk), no pattern of any
+frame over the set is, and the solver would return None on each of them.
+The other frames are searched as before, so the first model is unchanged.
 
 The oracle decides per mask the last atom that reads a selection cell. Once
 no later atom reads a cell (Goal.later_cells), the rest of the goal depends
@@ -291,6 +311,14 @@ class Goal:
         # the goal's variables) -> the mask of the free atoms' assignments
         # satisfying the goal there, filled by the rank solver
         self.satisfying = {}
+        # universe -> the slot array of the goal's operands over its power
+        # set, and (universe, valuation set) -> the _Cells of the set, both
+        # filled by _cells_of for the rank solver
+        self.denotations = {}
+        self.cells = {}
+        # basic frame's set of valuations -> whether some frame over it can
+        # hold a model, filled by find_countermodel_basic
+        self.basic_sets = {}
 
     @classmethod
     def of(cls, goal) -> "Goal":
@@ -313,6 +341,27 @@ class Goal:
                 values[i] = full ^ values[a]
             elif kind == _AND:
                 values[i] = values[a] & values[b]
+
+    def first_allowed(self, sides, pattern, assignments):
+        """The lowest assignment in the mask assignments under which some
+        utility gives the free atoms their truth values when cells of the
+        given sides pick as pattern says, as a one-bit mask, or 0: the
+        answer of every combination of picks with that pattern. Assignments
+        are decided in ascending order, and none above that one."""
+        decided = self.orderable.setdefault(sides, {})
+        done, ok = decided.get(pattern, (0, 0))
+        todo = assignments & ~done
+        if todo:
+            while todo and not ok & assignments & ((todo & -todo) - 1):
+                low = todo & -todo
+                todo ^= low
+                done |= low
+                if solve_order_constraints(_rank_constraints(
+                        sides, low.bit_length() - 1, pattern)) is not None:
+                    ok |= low
+            decided[pattern] = (done, ok)
+        allowed = ok & assignments
+        return allowed & -allowed
 
 
 def _bits(mask):
@@ -397,14 +446,6 @@ def _rank_constraints(sides, t, combo):
 
 # --- Search over a fixed world frame -----------------------------------------
 
-def _rows(vals):
-    """The index of the first world of each valuation, in frame order."""
-    rows = {}
-    for j, val in enumerate(vals):
-        rows.setdefault(val, j)
-    return rows.values()
-
-
 def _orbit_orders(worlds):
     """The weak orders of bruteforce_weak_orders(worlds), in its order, that
     are the first of their orbit under permutations of same-valuation
@@ -428,18 +469,35 @@ def _orbit_orders(worlds):
             yield utility
 
 
-def _solver_search(universe, vals, goal, admissible, mode, weights=None):
-    """Depth <= 1 backend: preference operands denote fixed propositions, so
-    a falsifying utility is a solution of rank comparisons among the picked
-    worlds of the witness row."""
-    # operands of a depth <= 1 goal contain no atom, so the atom slots may
-    # stay 0 while the operands are evaluated over the worlds
-    den = goal.slots(_variable_masks(universe, vals, goal.variables))
-    goal.run(den, (1 << len(vals)) - 1)
+class _Cells(NamedTuple):
+    """What a depth <= 1 goal reads off a frame's set of valuations, which
+    repeating a valuation does not change."""
+    cells: tuple        # the free atoms' distinct operands, over valuations
+    sides: tuple        # each free atom's (left, right) index into cells
+    satisfying: dict    # valuation -> mask of the free atoms' assignments
+                        # satisfying the goal at a world of that valuation
+    assignments: int    # the union of the satisfying masks
+
+
+def _cells_of(goal, universe, valset):
+    """The _Cells of a set of valuations of the universe, given as a mask
+    over its 2^n valuations; derived once per goal and set."""
+    key = (universe, valset)
+    got = goal.cells.get(key)
+    if got is not None:
+        return got
+    den = goal.denotations.get(universe)
+    if den is None:
+        # operands of a depth <= 1 goal contain no atom, so the atom slots
+        # may stay 0 while the operands are evaluated over the valuations
+        every = _powerset(universe)
+        den = goal.denotations[universe] = goal.slots(
+            _variable_masks(universe, every, goal.variables))
+        goal.run(den, (1 << len(every)) - 1)
     fixed = {}
     free = []
     for slot, l, r in goal.atoms:
-        left, right = den[l], den[r]
+        left, right = den[l] & valset, den[r] & valset
         if not left or not right:
             fixed[slot] = False      # existential import
         elif left == right:
@@ -460,49 +518,69 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
                 cells.append(cell)
     sides = tuple((cells.index(left), cells.index(right))
                   for _, left, right in free)
-    decided = goal.orderable.setdefault(sides, {})
     status = tuple(fixed.get(slot) for slot, _, _ in goal.atoms)
-    satisfying_at = goal.satisfying
     n = len(universe)
     var_bits = [(name, 1 << (n - 1 - universe.index(name)))
                 for name in goal.variables]
+    satisfying = {}
+    assignments = 0
+    for val in _bits(valset):
+        # the row's truth over the goal's variables
+        row = tuple(val & bit != 0 for _, bit in var_bits)
+        mask = goal.satisfying.get((status, row))
+        if mask is None:
+            values = goal.slots({name: everything if true else 0
+                                 for (name, _), true in zip(var_bits, row)})
+            for slot, value in truth.items():
+                values[slot] = value
+            goal.run(values, everything)
+            mask = goal.satisfying[(status, row)] = values[goal.root]
+        satisfying[val] = mask
+        assignments |= mask
+    got = goal.cells[key] = _Cells(tuple(cells), sides, satisfying,
+                                   assignments)
+    return got
+
+
+def _can_hold(goal, universe, valset):
+    """Whether some basic frame over the set of valuations, repeating them
+    any number of times, can hold a model of the goal: only if some row's
+    satisfying assignment lets every cell pick a world of its own, whose
+    rank constraints relax those of every other pattern."""
+    structure = _cells_of(goal, universe, valset)
+    return goal.first_allowed(structure.sides,
+                              tuple(range(len(structure.cells))),
+                              structure.assignments) != 0
+
+
+def _solver_search(universe, vals, goal, admissible, mode, weights=None):
+    """Depth <= 1 backend: preference operands denote fixed propositions, so
+    a falsifying utility is a solution of rank comparisons among the picked
+    worlds of the witness row."""
+    if vals == _powerset(universe):
+        # world j has valuation j, so valuation masks are world masks
+        structure = _cells_of(goal, universe, (1 << len(vals)) - 1)
+        cells = structure.cells
+        rows = enumerate(vals)
+    else:
+        # valuation -> the mask of the worlds that have it, in frame order
+        worlds_of = {}
+        for j, val in enumerate(vals):
+            worlds_of[val] = worlds_of.get(val, 0) | 1 << j
+        structure = _cells_of(goal, universe,
+                              sum(1 << val for val in worlds_of))
+        cells = tuple(sum(worlds_of[val] for val in _bits(cell))
+                      for cell in structure.cells)
+        # one row per valuation, the first world that has it
+        rows = [((mask & -mask).bit_length() - 1, val)
+                for val, mask in worlds_of.items()]
+    sides = structure.sides
     # a row's pick-index lists -> its set of patterns; in a basic frame every
     # row has the same lists
     patterns_of = {}
     worlds = None
-
-    def first_allowed(pattern, assignments):
-        """The lowest assignment in the mask assignments under which some
-        utility gives the free atoms their truth values when the cells pick
-        as pattern says, as a one-bit mask, or 0: the answer of every
-        combination of picks with that pattern. Assignments are decided in
-        ascending order, and none above that one."""
-        done, ok = decided.get(pattern, (0, 0))
-        todo = assignments & ~done
-        if todo:
-            while todo and not ok & assignments & ((todo & -todo) - 1):
-                low = todo & -todo
-                todo ^= low
-                done |= low
-                if solve_order_constraints(_rank_constraints(
-                        sides, low.bit_length() - 1, pattern)) is not None:
-                    ok |= low
-            decided[pattern] = (done, ok)
-        allowed = ok & assignments
-        return allowed & -allowed
-
-    for x in _rows(vals):
-        val = vals[x]
-        # the row's truth over the goal's variables
-        row = tuple(val & bit != 0 for _, bit in var_bits)
-        satisfying = satisfying_at.get((status, row))
-        if satisfying is None:
-            values = goal.slots({name: everything if true else 0
-                                 for (name, _), true in zip(var_bits, row)})
-            for slot, mask in truth.items():
-                values[slot] = mask
-            goal.run(values, everything)
-            satisfying = satisfying_at[(status, row)] = values[goal.root]
+    for x, val in rows:
+        satisfying = structure.satisfying[val]
         if not satisfying:
             continue
         pick_lists = tuple(admissible(vals, x, cell) for cell in cells)
@@ -518,7 +596,8 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
             # and each pattern's lowest up to the best found before it
             best, limit, firsts = 0, remaining, {}
             for pattern in patterns:
-                first = firsts[pattern] = first_allowed(pattern, limit)
+                first = firsts[pattern] = goal.first_allowed(sides, pattern,
+                                                             limit)
                 if first:
                     best, limit = first, remaining & ((first << 1) - 1)
             if not best:
@@ -696,9 +775,18 @@ def find_countermodel_basic(goal, max_worlds):
     utility."""
     goal = Goal.of(goal)
     universe = tuple(goal.variables)
+    solver = goal.backend == "solver"
     for count in range(1, max_worlds + 1):
         for vals in itertools.combinations_with_replacement(
                 _powerset(universe), count):
+            if solver:
+                valset = frozenset(vals)
+                can_hold = goal.basic_sets.get(valset)
+                if can_hold is None:
+                    can_hold = goal.basic_sets[valset] = _can_hold(
+                        goal, universe, sum(1 << val for val in valset))
+                if not can_hold:
+                    continue
             found = _search_worlds(universe, vals, goal, admissible_basic,
                                    "basic")
             if found:

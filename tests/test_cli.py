@@ -316,6 +316,14 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sequent, code", [("p |- p", 0), ("p |- p >", 3)])
+def test_package_runs_as_a_module(sequent, code):
+    # `python -m deolog` works without the installed console script
+    r = subprocess.run([sys.executable, "-m", "deolog", "check", sequent],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == code
+
+
 @pytest.mark.parametrize("args", [("parse", "p"),
                                   ("suite", "--only", "Prop4")])
 def test_closed_stdout_keeps_the_exit_code(args):

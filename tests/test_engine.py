@@ -17,10 +17,11 @@ from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
 from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
-                           _bits, _model, _oracle_search, _orbit_orders,
-                           _powerset, _solver_search, _variable_masks,
-                           _worlds, admissible_basic, admissible_delta,
-                           admissible_forced, admissible_weighted, check,
+                           _bits, _can_hold, _model, _oracle_search,
+                           _orbit_orders, _powerset, _solver_search,
+                           _variable_masks, _worlds, admissible_basic,
+                           admissible_delta, admissible_forced,
+                           admissible_weighted, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
@@ -533,6 +534,120 @@ def test_solver_searches_one_row_per_valuation():
     assert _solver_search(PQ, vals, goal, no_picks, "basic") is None
     # both cells are asked at each row searched: worlds 00 and 01
     assert rows == [0, 0, 2, 2]
+
+
+# --- Basic valuation sets decided once ---------------------------------------
+
+PQR = ("p", "q", "r")
+
+
+def _every_basic_frame(goal, max_worlds):
+    """find_countermodel_basic without its set decisions: the rank solver on
+    every frame, in order."""
+    universe = tuple(goal.variables)
+    for count in range(1, max_worlds + 1):
+        for vals in itertools.combinations_with_replacement(
+                _powerset(universe), count):
+            found = _solver_search(universe, vals, goal, admissible_basic,
+                                   "basic")
+            if found:
+                return found
+    return None
+
+
+def _props(names):
+    return st.recursive(st.sampled_from([Var(n) for n in names]),
+                        lambda kids: st.one_of(st.builds(Not, kids),
+                                               st.builds(And, kids, kids)),
+                        max_leaves=3)
+
+
+def _transitivity(names):
+    """a >= b & b >= c & ~(a >= c) for propositions a, b, c: no basic frame
+    holds a model unless a cell is empty or two coincide."""
+    props = _props(names)
+    return st.builds(lambda a, b, c: And(And(PrefWeak(a, b), PrefWeak(b, c)),
+                                         Not(PrefWeak(a, c))),
+                     props, props, props)
+
+
+def _strict(names):
+    """a >= a & b >= b & ~(a >= b), a depth <= 1 goal conjoined: the cells
+    of a and b are nonempty, and their picks differ in every model."""
+    props = _props(names)
+    return st.builds(lambda a, b, f: And(And(PrefWeak(a, a), PrefWeak(b, b)),
+                                         And(Not(PrefWeak(a, b)), f)),
+                     props, props, _depth1(names))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=st.one_of(_depth1(PQR), _transitivity(PQR), _strict(PQR)),
+       max_worlds=st.integers(1, 4))
+def test_set_decisions_keep_the_first_basic_model(formula, max_worlds):
+    found = find_countermodel_basic(Goal(formula), max_worlds)
+    expected = _every_basic_frame(Goal(formula), max_worlds)
+    assert (found is None) == (expected is None)
+    if found:
+        assert (model_to_doc(found[0]), found[1]) == \
+            (model_to_doc(expected[0]), expected[1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=_depth1(PQR),
+       frame=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+       repeat=st.integers(0, 3))
+def test_repeating_a_valuation_keeps_a_model(formula, frame, repeat):
+    goal = Goal(formula)
+    vals = tuple(sorted(frame))
+    if _solver_search(PQR, vals, goal, admissible_basic, "basic") is None:
+        return
+    repeated = tuple(sorted(vals + (vals[repeat % len(vals)],)))
+    assert _solver_search(PQR, repeated, goal, admissible_basic,
+                          "basic") is not None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=st.one_of(_depth1(PQR), _transitivity(PQR)),
+       valset=st.integers(1, 255))
+@example(formula=Sequent.parse("p >= q ; q >= r |- p >= r").goal(),
+         valset=255)
+def test_no_frame_over_a_hopeless_set_has_a_model(formula, valset):
+    goal = Goal(formula)
+    if _can_hold(goal, PQR, valset):
+        return
+    vals = tuple(_bits(valset))
+    # every frame over the set with up to two repeats, searched afresh
+    for extra in range(3):
+        for repeats in itertools.combinations_with_replacement(vals, extra):
+            frame = tuple(sorted(vals + repeats))
+            assert _solver_search(PQR, frame, Goal(formula),
+                                  admissible_basic, "basic") is None
+
+
+def test_s23_2_searches_no_basic_frame(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _solver_search(*args)
+
+    monkeypatch.setattr(engine, "_solver_search", counted)
+    sequent = Sequent.parse("p >= q ; q >= r |- p >= r")
+    assert check(sequent, BASIC4).kind == "qualified-valid"
+    # every set of valuations is decided hopeless: all 494 frames were
+    # searched before
+    assert calls == []
+
+
+@pytest.mark.parametrize("sequent", [
+    Sequent.parse("p >= q ; q >= r |- p >= r"),
+    Sequent((), check_derivation(load_derivation(str(
+        pathlib.Path(deolog.__file__).parent / "derivations" /
+        "ax3-commute.json"))).theorem)],
+    ids=["S23.2", "ax3-commute"])
+def test_eleven_world_basic_search_skips_hopeless_sets(sequent):
+    # searching each of the 75 581 frames took about 22 s for S23.2
+    assert check(sequent, BasicRegime(11)).kind == "qualified-valid"
 
 
 # --- Frames as valuation ints ---------------------------------------------------
