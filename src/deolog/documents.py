@@ -46,12 +46,14 @@ def _world_members(universe, name: str) -> frozenset:
     return frozenset(v for v, b in zip(universe, bits) if b == "1")
 
 
-def _number(convert, value, what):
+def _weight(value, what):
+    """A weight: a number or a fraction string, not a boolean."""
     try:
-        return convert(value)
+        if not isinstance(value, bool):
+            return Fraction(value)
     except (TypeError, OverflowError):   # e.g. a list, or Infinity
-        raise ValueError(f"{what} is not a finite number: {value!r}") \
-            from None
+        pass
+    raise ValueError(f"{what} is not a finite number: {value!r}")
 
 
 def model_from_doc(doc: dict) -> Model:
@@ -62,12 +64,12 @@ def model_from_doc(doc: dict) -> Model:
     worlds = tuple(World(name, _world_members(universe, name))
                    for name in _names(doc["worlds"], '"worlds"'))
     by_name = {w.name: w for w in worlds}
-    utility = {by_name[name]: _number(int, rank, f"the utility of {name}")
+    utility = {by_name[name]: _typed(rank, int, f"the utility of {name}")
                for name, rank in _typed(doc["utility"], dict,
                                         '"utility"').items()}
     weights = None
     if doc.get("weights") is not None:
-        weights = {v: _number(Fraction, x, f"the weight of {v}")
+        weights = {v: _weight(x, f"the weight of {v}")
                    for v, x in _typed(doc["weights"], dict,
                                       '"weights"').items()}
     model = Model(universe, worlds, utility, {}, doc.get("mode", "basic"),

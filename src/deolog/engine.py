@@ -93,14 +93,15 @@ A frame is searched as a sequence of valuation ints, one per world in frame
 order, bit n-1-i standing for the i-th variable of the sorted universe: a
 basic frame is a sorted combination of valuations, and the power set is
 range(2^n), in powerset_worlds' order. Cells are masks over world indices,
-and the admissibility policies map (valuations, world index, cell mask) to
-the indices of the admissible picks, ascending. That is the worlds' name
-order on the power set and on every basic frame with at most ten worlds of
-one valuation (make_worlds' suffix "#10" sorts before "#2"), so there the
-first model found is the one a search ordering World objects by name finds.
-Worlds, and frozensets of them, are built only for a model about to be
-reported, and by the oracle for its weak orders, which rank worlds by name:
-the rank solver builds none for a frame it refutes.
+the admissibility policies map (valuations, world index, cell mask) to the
+indices of the admissible picks, ascending, and utilities are rank lists
+over world indices: the solver's ranks, or the oracle's weak orders on
+range(n), enumerated in index order. That is the worlds' name order on the
+power set and on every basic frame with at most ten worlds of one valuation
+(make_worlds' suffix "#10" sorts before "#2"), so there the first model
+found is the one a search ordering World objects by name finds. Both
+backends build Worlds, and frozensets of them, only in _model, for a model
+about to be reported: neither builds any for a frame it refutes.
 """
 
 from __future__ import annotations
@@ -388,26 +389,23 @@ def _powerset(universe):
     return range(1 << len(universe))
 
 
-def _worlds(universe, vals, mode):
-    """The World objects of a frame, built for a model about to be reported
-    (and by the oracle, whose weak orders rank worlds by name): the power
-    set for a delta model, else make_worlds of the valuations."""
+def _model(universe, vals, rank, selection, mode, weights):
+    """The Model of a frame's rank list and of a selection keyed by (world
+    index, cell mask) to pick index, with one frozenset of worlds per
+    distinct cell. Its worlds are the power set for a delta model, else
+    make_worlds of the valuations."""
     if mode == "delta":
-        return powerset_worlds(universe)
-    n = len(universe)
-    return make_worlds(universe, [
-        [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
-        for val in vals])
-
-
-def _model(universe, worlds, utility, selection, mode, weights):
-    """The Model of a selection keyed by (world index, cell mask) to pick
-    index, with one frozenset of worlds per distinct cell."""
+        worlds = powerset_worlds(universe)
+    else:
+        n = len(universe)
+        worlds = make_worlds(universe, [
+            [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
+            for val in vals])
     props = {}
     for _, mask in selection:
         if mask not in props:
             props[mask] = frozenset(worlds[j] for j in _bits(mask))
-    return Model(universe, worlds, utility,
+    return Model(universe, worlds, dict(zip(worlds, rank)),
                  {(worlds[at], props[mask]): worlds[j]
                   for (at, mask), j in selection.items()}, mode, weights)
 
@@ -446,27 +444,27 @@ def _rank_constraints(sides, t, combo):
 
 # --- Search over a fixed world frame -----------------------------------------
 
-def _orbit_orders(worlds):
-    """The weak orders of bruteforce_weak_orders(worlds), in its order, that
-    are the first of their orbit under permutations of same-valuation
-    worlds: those that give the worlds of each valuation a multiset of ranks
-    no earlier order gave them. Every valuation counts, single worlds too."""
-    groups = {}
-    for w in worlds:
-        groups.setdefault(w.members, []).append(w)
-    if len(groups) == len(worlds):
+def _orbit_orders(vals):
+    """The rank lists over world indices of the weak orders of
+    bruteforce_weak_orders(range(n)), in its order, that are the first of
+    their orbit under permutations of same-valuation worlds: those that give
+    the worlds of each valuation a multiset of ranks no earlier order gave
+    them. Every valuation counts, single worlds too."""
+    n = len(vals)
+    ranks = ([order[j] for j in range(n)]
+             for order in bruteforce_weak_orders(range(n)))
+    if len(set(vals)) == n:
         # every orbit is one order, as in every delta frame: keys would
         # only cost time
-        yield from bruteforce_weak_orders(worlds)
+        yield from ranks
         return
-    groups = list(groups.values())
     seen = set()
-    for utility in bruteforce_weak_orders(worlds):
-        key = tuple(tuple(sorted(utility[w] for w in group))
-                    for group in groups)
+    for rank in ranks:
+        # the sorted (valuation, rank) pairs: each valuation's multiset
+        key = tuple(sorted(zip(vals, rank)))
         if key not in seen:
             seen.add(key)
-            yield utility
+            yield rank
 
 
 class _Cells(NamedTuple):
@@ -578,7 +576,6 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
     # a row's pick-index lists -> its set of patterns; in a basic frame every
     # row has the same lists
     patterns_of = {}
-    worlds = None
     for x, val in rows:
         satisfying = structure.satisfying[val]
         if not satisfying:
@@ -609,15 +606,12 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
                     continue
                 ranks = solve_order_constraints(
                     _rank_constraints(sides, t, combo))
-                if worlds is None:
-                    worlds = _worlds(universe, vals, mode)
-                model = _model(universe, worlds,
-                               {w: ranks.get(j, 0)
-                                for j, w in enumerate(worlds)},
+                model = _model(universe, vals,
+                               [ranks.get(j, 0) for j in range(len(vals))],
                                {(x, cell): j for cell, j in zip(cells, combo)},
                                mode, weights)
-                if holds_at(model, goal.formula, worlds[x]):
-                    return model, worlds[x]
+                if holds_at(model, goal.formula, model.worlds[x]):
+                    return model, model.worlds[x]
     return None
 
 
@@ -639,7 +633,6 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
     if n > ORACLE_WORLD_CAP:
         raise BudgetExceeded(
             f"{n} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
-    worlds = _worlds(universe, vals, mode)
     full = (1 << n) - 1
     atoms = goal.atoms
     values = goal.slots(_variable_masks(universe, vals, goal.variables))
@@ -658,15 +651,15 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
 
     # the selection under construction maps (world index, cell mask) to the
     # index of the picked world
-    def finish(utility, selection):
+    def finish(rank, selection):
         goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
         model = None
         for j in _bits(values[goal.root]):
             if model is None:
-                model = _model(universe, worlds, utility, selection, mode,
-                               weights)
-            if holds_at(model, goal.formula, worlds[j]):  # re-verification
-                return model, worlds[j]
+                model = _model(universe, vals, rank, selection, mode, weights)
+            world = model.worlds[j]
+            if holds_at(model, goal.formula, world):  # re-verification
+                return model, world
         return None
 
     def rest_holds(i, mask):
@@ -681,9 +674,9 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
         goal.run(values, full, slot + 1)
         return values[goal.root] != 0
 
-    def assign_atom(i, utility, rank, selection):
+    def assign_atom(i, rank, selection):
         if i == len(atoms):
-            return finish(utility, selection)
+            return finish(rank, selection)
         slot, l, r = atoms[i]
         # operands only read slots below this atom, and deeper atoms only
         # write slots above it
@@ -692,7 +685,7 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
         if not left or not right or left == right:
             # existential import, or one cell read on both sides
             values[slot] = full if (left and left == right) else 0
-            return assign_atom(i + 1, utility, rank, selection)
+            return assign_atom(i + 1, rank, selection)
         later = goal.later_cells[i]
         if not later:
             # no later atom reads a cell, so the rest of the goal depends
@@ -721,7 +714,7 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
         def per_world(j, members):
             if j == n:
                 values[slot] = members
-                return assign_atom(i + 1, utility, rank, selection)
+                return assign_atom(i + 1, rank, selection)
             picked = []
             for cell in ((j, left), (j, right)):
                 if cell in selection:
@@ -755,8 +748,8 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
 
         return per_world(0, 0)
 
-    for utility in _orbit_orders(worlds):
-        found = assign_atom(0, utility, [utility[w] for w in worlds], {})
+    for rank in _orbit_orders(vals):
+        found = assign_atom(0, rank, {})
         if found:
             return found
     return None

@@ -60,12 +60,13 @@ def _ordered_partitions(items):
             yield parts[:i] + [[first]] + parts[i:]
 
 
-def bruteforce_weak_orders(worlds):
-    """Yield every weak order on the given worlds exactly once, as canonical
-    surjective rank maps onto {0..m} (earlier blocks rank higher). Callers
-    bound the worlds, as the engine does by ORACLE_WORLD_CAP."""
-    worlds = sorted(worlds, key=lambda w: w.name)
-    for blocks in _ordered_partitions(worlds):
+def bruteforce_weak_orders(items):
+    """Yield every weak order on the given items exactly once, as canonical
+    surjective rank maps onto {0..m} (earlier blocks rank higher), in an
+    order fixed by the order the items are given in. The engine ranks world
+    indices, range(n); callers bound the items, as the engine does by
+    ORACLE_WORLD_CAP."""
+    for blocks in _ordered_partitions(list(items)):
         top = len(blocks) - 1
         yield {w: top - i for i, block in enumerate(blocks) for w in block}
 

@@ -128,9 +128,14 @@ class TestEvalCommand:
         (("utility", "00"), float("inf")),
         # a formula cell whose preference reads a cell no earlier entry set
         (("selection", 0, "of"), "p >= q"),
+        # ranks are integers: 1.5 and true used to load as 1
+        (("utility", "00"), 1.5),
+        (("utility", "00"), True),
+        (("weights",), {"p": True, "q": 1}),
     ], ids=["top-list", "universe-number", "utility-list", "selection-object",
             "entry-string", "at-list", "of-number", "of-nested-list",
-            "weights-list", "utility-infinite", "of-unresolvable-formula"])
+            "weights-list", "utility-infinite", "of-unresolvable-formula",
+            "utility-fraction", "utility-bool", "weights-bool"])
     def test_malformed_model_is_a_usage_error(self, tmp_path, appendix_path,
                                                path, value):
         doc = json.loads(appendix_path.read_text())

@@ -12,14 +12,15 @@ from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
                            desugar, modal_depth, parse, variables)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
                            make_worlds, powerset_worlds)
-from deolog.orders import ComparisonAtom, solve_order_constraints
+from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
+                           solve_order_constraints)
 from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
     WeightedRegime, delta_minimal, forced_choice, p_nearest
 from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
                            _bits, _can_hold, _model, _oracle_search,
                            _orbit_orders, _powerset, _solver_search,
-                           _variable_masks, _worlds, admissible_basic,
+                           _variable_masks, admissible_basic,
                            admissible_delta, admissible_forced,
                            admissible_weighted, check,
                            check_forall_weights_invalidity,
@@ -375,10 +376,10 @@ def _per_combination_search(universe, vals, goal, admissible, mode,
             if cell not in cells:
                 cells.append(cell)
     sides = [(cells.index(left), cells.index(right)) for _, left, right in free]
-    worlds = _worlds(universe, vals, mode)
-    for x, w in enumerate(worlds):
-        values = goal.slots({v: everything if v in w.members else 0
-                             for v in goal.variables})
+    for x, val in enumerate(vals):
+        values = goal.slots({v: everything if true else 0 for v, true in
+                             _variable_masks(universe, (val,),
+                                             goal.variables).items()})
         for slot, mask in truth.items():
             values[slot] = mask
         goal.run(values, everything)
@@ -398,12 +399,11 @@ def _per_combination_search(universe, vals, goal, admissible, mode,
                 ranks = solve_order_constraints(constraints)
                 if ranks is None:
                     continue
-                utility = {w2: ranks.get(j, 0) for j, w2 in enumerate(worlds)}
+                rank = [ranks.get(j, 0) for j in range(len(vals))]
                 selection = {(x, cell): j for cell, j in zip(cells, combo)}
-                model = _model(universe, worlds, utility, selection, mode,
-                               weights)
-                if holds_at(model, goal.formula, w):
-                    return model, w
+                model = _model(universe, vals, rank, selection, mode, weights)
+                if holds_at(model, goal.formula, model.worlds[x]):
+                    return model, model.worlds[x]
     return None
 
 
@@ -472,9 +472,11 @@ def test_ax3_commute_prunes_solver_calls(monkeypatch):
 
 # --- Basic frames searched up to the symmetry of repeated valuations ----------
 
-def _every_order(worlds):
+def _every_order(vals):
     """The oracle's weak-order loop before orbits: every order searched."""
-    yield from engine.bruteforce_weak_orders(worlds)
+    n = len(vals)
+    for order in engine.bruteforce_weak_orders(range(n)):
+        yield [order[j] for j in range(n)]
 
 
 # the valuations over {p, q} as frame ints: bit 1 is p, bit 0 is q
@@ -504,21 +506,67 @@ def test_symmetric_search_matches_every_row_and_order(formula, frame):
 def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
     path = pathlib.Path(deolog.__file__).parent / "derivations" / "t-pref.json"
     theorem = check_derivation(load_derivation(str(path))).theorem
-    generated, searched = [], []
+    generated, searched, built = [], [], []
 
     def counted(wrapped, into):
-        def orders(worlds):
-            for utility in wrapped(worlds):
-                into.append(utility)
-                yield utility
+        def orders(items):
+            for order in wrapped(items):
+                into.append(order)
+                yield order
         return orders
+
+    def counted_worlds(*args):
+        built.append(args)
+        return make_worlds(*args)
 
     monkeypatch.setattr(engine, "bruteforce_weak_orders",
                         counted(engine.bruteforce_weak_orders, generated))
     monkeypatch.setattr(engine, "_orbit_orders",
                         counted(engine._orbit_orders, searched))
+    monkeypatch.setattr(engine, "make_worlds", counted_worlds)
     assert check(Sequent((), theorem), BASIC4).kind == "qualified-valid"
     assert (len(searched), len(generated)) == (1225, 2919)
+    # the oracle searches world indices and refutes every frame, so it
+    # builds no worlds: building each frame's worlds made 69 calls
+    assert built == []
+
+
+def _frame_worlds(universe, vals, mode):
+    """The World objects a model of the frame has."""
+    return _model(universe, vals, [0] * len(vals), {}, mode, None).worlds
+
+
+def _world_orbit_orders(worlds):
+    """_orbit_orders as it was on World objects: the weak orders of the
+    worlds in name order that are the first of their orbit, keyed by each
+    valuation's group of worlds."""
+    groups = {}
+    for w in worlds:
+        groups.setdefault(w.members, []).append(w)
+    ordered = sorted(worlds, key=lambda w: w.name)
+    if len(groups) == len(worlds):
+        yield from bruteforce_weak_orders(ordered)
+        return
+    groups = list(groups.values())
+    seen = set()
+    for utility in bruteforce_weak_orders(ordered):
+        key = tuple(tuple(sorted(utility[w] for w in group))
+                    for group in groups)
+        if key not in seen:
+            seen.add(key)
+            yield utility
+
+
+def test_orbit_orders_match_the_world_keyed_orbits():
+    frames = [vals for count in range(1, ORACLE_WORLD_CAP + 1)
+              for vals in itertools.combinations_with_replacement(
+                  _powerset(PQ), count)]
+    assert len(frames) == 209
+    for vals in frames:
+        worlds = _frame_worlds(PQ, vals, "basic")
+        assert list(_orbit_orders(vals)) == [
+            [utility[w] for w in worlds]
+            for utility in _world_orbit_orders(worlds)], vals
 
 
 def test_solver_searches_one_row_per_valuation():
@@ -679,7 +727,7 @@ def _cells(draw):
 @given(case=_cells())
 def test_mask_policies_match_world_policies(case):
     universe, vals, mode, x, cell, weighting = case
-    worlds = _worlds(universe, vals, mode)
+    worlds = _frame_worlds(universe, vals, mode)
     assert [w.name for w in worlds] == sorted(w.name for w in worlds)
     w, prop = worlds[x], frozenset(worlds[j] for j in _bits(cell))
 
@@ -703,35 +751,33 @@ def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
     """The oracle before its last cell-reading atom was decided per mask:
     every pick branch of every atom walked."""
     n = len(vals)
-    worlds = _worlds(universe, vals, mode)
     full = (1 << n) - 1
     atoms = goal.atoms
     values = goal.slots(_variable_masks(universe, vals, goal.variables))
 
-    def finish(utility, selection):
+    def finish(rank, selection):
         goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
         for j in _bits(values[goal.root]):
-            model = _model(universe, worlds, utility, selection, mode,
-                           weights)
-            if holds_at(model, goal.formula, worlds[j]):
-                return model, worlds[j]
+            model = _model(universe, vals, rank, selection, mode, weights)
+            if holds_at(model, goal.formula, model.worlds[j]):
+                return model, model.worlds[j]
         return None
 
-    def assign_atom(i, utility, rank, selection):
+    def assign_atom(i, rank, selection):
         if i == len(atoms):
-            return finish(utility, selection)
+            return finish(rank, selection)
         slot, l, r = atoms[i]
         goal.run(values, full, atoms[i - 1][0] + 1 if i else 0, slot)
         left, right = values[l], values[r]
         if not left or not right or left == right:
             values[slot] = full if (left and left == right) else 0
-            return assign_atom(i + 1, utility, rank, selection)
+            return assign_atom(i + 1, rank, selection)
         later = goal.later_cells[i]
 
         def per_world(j, members):
             if j == n:
                 values[slot] = members
-                return assign_atom(i + 1, utility, rank, selection)
+                return assign_atom(i + 1, rank, selection)
             picked = []
             for cell in ((j, left), (j, right)):
                 if cell in selection:
@@ -763,8 +809,8 @@ def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
 
         return per_world(0, 0)
 
-    for utility in _orbit_orders(worlds):
-        found = assign_atom(0, utility, [utility[w] for w in worlds], {})
+    for rank in _orbit_orders(vals):
+        found = assign_atom(0, rank, {})
         if found:
             return found
     return None

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from deolog.models import World
@@ -117,6 +118,16 @@ class TestBruteforceWeakOrders:
             key = tuple(order[w] for w in worlds)
             assert key not in seen
             seen.add(key)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_weak_orders_of_indices_match_those_of_worlds_in_name_order(n):
+    # the engine ranks world indices, whose order is the worlds' name order
+    worlds = [_w(name) for name in ("00", "00#1", "01", "10")[:n]]
+    assert [[order[j] for j in range(n)]
+            for order in bruteforce_weak_orders(range(n))] == \
+        [[order[w] for w in worlds]
+         for order in bruteforce_weak_orders(worlds)]
 
 
 class TestOrderedBell:
