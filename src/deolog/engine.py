@@ -28,13 +28,10 @@ before it is reported.
 
 Each decision compiles its goal once into a Goal: a flat program over the
 goal's distinct subformulas, with its modal depth, variables, preference
-atoms and backend. Compiling visits each node object once and gives each
-distinct (operator, operand slots) its slot, so it takes time linear in the
-distinct nodes even where desugaring shares operands. Both backends evaluate
-it on int bitmasks. The oracle reads a proposition as a mask over the frame's
-world indices; the rank solver reads the goal at one world as a mask over the
-truth assignments of the free preference atoms and visits only the
-assignments that satisfy it.
+atoms and backend, compiled in time linear in the distinct nodes even where
+desugaring shares operands. Both backends evaluate it on int bitmasks (see
+Goal), and the rank solver visits only the truth assignments of the free
+preference atoms that satisfy the goal at a world.
 
 Under one assignment, the rank constraints of a combination of picks are
 satisfiable exactly when those of its pattern are: the pattern relabels the
@@ -52,13 +49,12 @@ valuation maps the frame to itself: every admissibility policy reads only
 the valuation of the world it picks at, and admissible_basic not even that.
 So each frame is searched only up to those swaps. The rank solver searches
 one row per valuation, the first world that has it, and memoises a row's
-patterns per frame. The oracle
-takes the weak orders in enumeration order and searches only the first of
-each orbit: it skips an order when an earlier one gave the worlds of each
-valuation the same multiset of ranks, single worlds included. A model at
-any member of an orbit, or at any row of a valuation, maps to one at the
-first, which is searched earlier, so the first model found is the one a
-search of every case would find.
+patterns per frame. The oracle takes the weak orders in enumeration order
+and searches only the first of each orbit: it skips an order when an
+earlier one gave the worlds of each valuation the same multiset of ranks,
+single worlds included. A model at any member of an orbit, or at any row of
+a valuation, maps to one at the first, which is searched earlier, so the
+first model found is the one a search of every case would find.
 
 At depth <= 1, what the rank solver reads off a frame before its pick walk
 depends only on the frame's set of valuations: the operands (one denotation
@@ -89,19 +85,15 @@ satisfies the goal somewhere, keyed by the atom, forced, either and the slots
 below the atom, and walks the atom's pick branches only when one does: the
 walk, and so the first model and its selection, is unchanged.
 
-A frame is searched as a sequence of valuation ints, one per world in frame
-order, bit n-1-i standing for the i-th variable of the sorted universe: a
-basic frame is a sorted combination of valuations, and the power set is
-range(2^n), in powerset_worlds' order. Cells are masks over world indices,
-the admissibility policies map (valuations, world index, cell mask) to the
-indices of the admissible picks, ascending, and utilities are rank lists
-over world indices: the solver's ranks, or the oracle's weak orders on
-range(n), enumerated in index order. That is the worlds' name order on the
-power set and on every basic frame with at most ten worlds of one valuation
-(make_worlds' suffix "#10" sorts before "#2"), so there the first model
-found is the one a search ordering World objects by name finds. Both
-backends build Worlds, and frozensets of them, only in _model, for a model
-about to be reported: neither builds any for a frame it refutes.
+Frames are sequences of valuation ints, as in regimes: a basic frame is a
+sorted combination of valuations, the power set range(2^n). The mask
+policies of regimes give a cell's admissible picks, and utilities are rank
+lists over world indices: the solver's ranks, or the oracle's weak orders on
+range(n), in index order. That is the worlds' name order on the power set
+and on every basic frame with at most ten worlds of one valuation
+(make_worlds' "#10" sorts before "#2"), so there the first model found is
+the one a search over World objects by name finds. Worlds are built only in
+_model, for a model about to be reported.
 """
 
 from __future__ import annotations
@@ -119,10 +111,11 @@ from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
 from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
-                      WeightedRegime, check_grid, enumerate_weight_orders,
-                      subset_sums)
-# the World policies, which the mask policies below replace in the search,
-# stay bound here: benchmarks/tracer.py counts their calls by these names
+                      WeightedRegime, _bits, admissible_basic,
+                      admissible_delta, admissible_forced,
+                      admissible_weighted, check_grid,
+                      enumerate_weight_orders)
+# unused in the search; benchmarks/tracer.py counts calls by these names
 from .regimes import delta_minimal, forced_choice, p_nearest  # noqa: F401
 
 # the most worlds the weak-order oracle enumerates orders on
@@ -183,59 +176,6 @@ class Verdict:
         if self.kind in ("invalid", "unsat"):
             return 1
         return 2
-
-
-# --- Admissible-pick policies ------------------------------------------------
-#
-# A frame is a sequence of valuation ints, bit n-1-i standing for the i-th
-# variable of its sorted universe, and a cell is a mask over its world
-# indices. A policy maps (frame valuations, world index, cell mask) to the
-# indices of the admissible picks, ascending.
-
-def admissible_basic(vals, x, cell):
-    return tuple(_bits(cell))
-
-
-def admissible_delta(vals, x, cell):
-    """The members whose difference with world x is subset-minimal."""
-    base = vals[x]
-    diffs = [(vals[j] ^ base, j) for j in _bits(cell)]
-    # a difference is minimal when no smaller minimal one is a subset of it
-    minimal = []
-    for d in sorted({d for d, _ in diffs}, key=int.bit_count):
-        if all(e & ~d for e in minimal):
-            minimal.append(d)
-    minimal = set(minimal)
-    return tuple(j for d, j in diffs if d in minimal)
-
-
-def admissible_forced(vals, x, cell):
-    """The first member whose difference with world x is a subset of every
-    other member's, that is, equals their intersection; such a pick is
-    nearest under every weighting."""
-    base = vals[x]
-    common = -1
-    for j in _bits(cell):
-        common &= vals[j] ^ base
-    for j in _bits(cell):
-        if vals[j] ^ base == common:
-            return (j,)
-    return ()
-
-
-def admissible_weighted(weighting):
-    """The nearest members under the weighting, whose distances are read off
-    one table of the subset sums of its weights, over the weighting's
-    variables in sorted order: the universe of every frame searched with
-    it."""
-    table = subset_sums([weighting[v] for v in sorted(weighting, reverse=True)])
-
-    def policy(vals, x, cell):
-        base = vals[x]
-        dist = [(table[vals[j] ^ base], j) for j in _bits(cell)]
-        best = min(dist)[0]
-        return tuple(j for d, j in dist if d == best)
-    return policy
 
 
 # --- Compiled goals ------------------------------------------------------------
@@ -363,14 +303,6 @@ class Goal:
             decided[pattern] = (done, ok)
         allowed = ok & assignments
         return allowed & -allowed
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _variable_masks(universe, vals, names):

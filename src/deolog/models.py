@@ -224,28 +224,34 @@ def validate_model(model: Model) -> list[str]:
     """Check every model invariant; returns a list of violation messages
     (empty = ok).
 
-    Worlds need unique names, declared variables and a utility rank. Each
-    selection cell must sit at a known world, name a nonempty set of known
-    worlds and pick one of them. A delta model ranges over the full power set
-    of its universe and picks difference-minimally (regimes.delta_admits).
-    Weights, when given, must be positive on every variable of the universe
-    (regimes.check_weighting), and every pick must then be nearest under them
-    (regimes.nearest_admits). Each cell's policies are checked in one pass
-    over its worlds, so the check is linear in the size of the table.
+    The universe must not repeat a variable. Worlds need unique names,
+    declared variables and a utility rank. Each selection cell must sit at a
+    known world, name a nonempty set of known worlds and pick one of them. A
+    delta model ranges over the full power set of its universe and picks
+    difference-minimally (regimes.delta_admits).
+    Weights, when given, must be positive on exactly the variables of the
+    universe (regimes.check_weighting), and every pick must then be nearest
+    under them (regimes.p_nearest). Each cell is checked in time linear in
+    its size, so the check is linear in the size of the table.
     """
-    from .regimes import check_weighting, delta_admits, nearest_admits
+    from .regimes import check_weighting, delta_admits, p_nearest
 
     problems = []
     if not model.worlds:
         problems.append("model has no worlds")
         return problems
+    universe = model.universe
+    declared = set(universe)
+    if len(declared) != len(universe):
+        problems.append("universe repeats variables: " + ", ".join(
+            sorted({v for v in universe if universe.count(v) > 1})))
     names = [w.name for w in model.worlds]
     if len(set(names)) != len(names):
         problems.append("world names are not unique")
     # weights are read only on cells of known worlds over declared variables
     weights = model.weights
     for w in model.worlds:
-        if not w.members <= set(model.universe):
+        if not w.members <= declared:
             problems.append(f"world {w.name} mentions undeclared variables")
             weights = None
     for w in model.worlds:
@@ -255,7 +261,7 @@ def validate_model(model: Model) -> list[str]:
     weight_problems = []
     if model.weights is not None:
         try:
-            check_weighting(model.weights, model.universe)
+            check_weighting(model.weights, universe)
         except ValueError as exc:
             weight_problems.append(f"invalid weights: {exc}")
             weights = None
@@ -282,13 +288,13 @@ def validate_model(model: Model) -> list[str]:
                 f"selection at {w.name} is not delta-based: pick "
                 f"{pick.name} is not difference-minimal in its cell")
         if weights is not None and known and \
-                not nearest_admits(weights, w, prop, pick):
+                pick not in p_nearest(weights, w, prop):
             weight_problems.append(
                 f"selection at {w.name} is not nearest under the weights: "
                 f"pick {pick.name} is not at minimal weighted distance in "
                 "its cell")
     if delta:
-        if world_set != set(powerset_worlds(model.universe)):
+        if world_set != set(powerset_worlds(universe)):
             problems.append(
                 "delta model's worlds are not the full power set of the "
                 "universe")

@@ -1,10 +1,28 @@
-"""Selection regimes: delta-based selection, weightings, weighted distance,
-weight classes, and finite enumeration of weight orders.
+"""Selection regimes: weight classes, the regime objects, every selection
+policy, and finite enumeration of weight orders.
 
-A weighting assigns a positive weight to each variable; distance between
-worlds is the weight-sum over their symmetric difference. Weighted selection
-picks distance minimizers; delta selection picks subset-minimal differences.
-Every weighted choice is a delta choice (the weights are positive).
+A weighting gives each variable a positive weight, and the distance between
+two worlds is the weight-sum over their symmetric difference. Weighted
+selection picks distance minimizers, delta selection subset-minimal
+differences (so every weighted pick is a delta pick), and forced selection
+the member whose difference is a subset of every other member's, which is
+nearest under every weighting.
+
+Each policy is defined here once per representation. Over Worlds, the
+reference: delta_admits (which delta_minimal filters by), p_nearest and
+forced_choice, reading frozensets of Worlds as a Model's selection table
+does. Over valuation ints, for the search: admissible_basic, _delta, _forced
+and _weighted map (frame valuations, world index, cell mask) to the indices
+of the cell's admissible picks, ascending. There a frame is a sequence of
+valuation ints, bit n-1-i standing for the i-th variable of the sorted
+universe, and a cell is a mask over the frame's world indices.
+
+The World policies are not adapters over the mask ones: the tests compare
+the two, and the benchmark checks the engine's picks against forced_choice
+and p_nearest. models.validate_model checks delta picks with the one-pass
+delta_admits, measured about seven times faster than admissible_delta's set;
+so delta_minimal is built on delta_admits. The engine keeps the World
+policies bound by name for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -106,24 +124,22 @@ class WeightedRegime:
 
 
 def check_weighting(weighting, universe):
+    """Positive weights on exactly the universe's variables, or ValueError."""
     for v in universe:
         if v not in weighting:
             raise ValueError(f"weighting undefined on variable {v}")
         if weighting[v] <= 0:
             raise ValueError(f"weight of {v} must be positive")
+    unknown = set(weighting).difference(universe)
+    if unknown:
+        raise ValueError("weighting mentions variables outside the "
+                         "universe: " + ", ".join(sorted(unknown)))
 
 
-def delta_minimal(w: World, prop: frozenset) -> frozenset:
-    """Worlds of prop whose symmetric difference with w is subset-minimal."""
-    if not prop:
-        raise ValueError("empty proposition")
-    diffs = {w1: symmetric_difference(w, w1) for w1 in prop}
-    return frozenset(w1 for w1, d1 in diffs.items()
-                     if not any(d2 < d1 for d2 in diffs.values()))
-
+# --- Selection over Worlds, the reference ------------------------------------
 
 def delta_admits(w: World, prop: frozenset, pick: World) -> bool:
-    """Whether a pick in prop is in delta_minimal(w, prop), in one pass over
+    """Whether a pick in prop is difference-minimal in it, in one pass over
     prop: no member differs from w by a proper subset of pick's difference."""
     members = w.members
     d = members ^ pick.members
@@ -131,6 +147,13 @@ def delta_admits(w: World, prop: frozenset, pick: World) -> bool:
         if members ^ x.members < d:
             return False
     return True
+
+
+def delta_minimal(w: World, prop: frozenset) -> frozenset:
+    """Worlds of prop whose symmetric difference with w is subset-minimal."""
+    if not prop:
+        raise ValueError("empty proposition")
+    return frozenset(x for x in prop if delta_admits(w, prop, x))
 
 
 def weighted_distance(weighting, w0: World, w1: World):
@@ -147,13 +170,6 @@ def p_nearest(weighting, w: World, prop: frozenset) -> frozenset:
     return frozenset(w1 for w1 in prop if dist[w1] == best)
 
 
-def nearest_admits(weighting, w: World, prop: frozenset, pick: World) -> bool:
-    """Whether a pick in prop is in p_nearest(weighting, w, prop), in one
-    pass over prop: no member is nearer to w than pick."""
-    d = weighted_distance(weighting, w, pick)
-    return not any(weighted_distance(weighting, w, x) < d for x in prop)
-
-
 def forced_choice(w: World, prop: frozenset) -> World | None:
     """The member of prop whose difference with w is a subset of every other
     member's difference, if one exists. Such a pick is nearest under every
@@ -165,6 +181,62 @@ def forced_choice(w: World, prop: frozenset) -> World | None:
         if all(d1 <= symmetric_difference(w, w2) for w2 in prop):
             return w1
     return None
+
+
+# --- Selection over valuation ints, for the search ---------------------------
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def admissible_basic(vals, x, cell):
+    return tuple(_bits(cell))
+
+
+def admissible_delta(vals, x, cell):
+    """The members whose difference with world x is subset-minimal."""
+    base = vals[x]
+    diffs = [(vals[j] ^ base, j) for j in _bits(cell)]
+    # a difference is minimal when no smaller minimal one is a subset of it
+    minimal = []
+    for d in sorted({d for d, _ in diffs}, key=int.bit_count):
+        if all(e & ~d for e in minimal):
+            minimal.append(d)
+    minimal = set(minimal)
+    return tuple(j for d, j in diffs if d in minimal)
+
+
+def admissible_forced(vals, x, cell):
+    """The first member whose difference with world x is a subset of every
+    other member's, that is, equals their intersection; such a pick is
+    nearest under every weighting."""
+    base = vals[x]
+    common = -1
+    for j in _bits(cell):
+        common &= vals[j] ^ base
+    for j in _bits(cell):
+        if vals[j] ^ base == common:
+            return (j,)
+    return ()
+
+
+def admissible_weighted(weighting):
+    """The nearest members under the weighting, whose distances are read off
+    one table of the subset sums of its weights, over the weighting's
+    variables in sorted order: the universe of every frame searched with
+    it."""
+    table = subset_sums([weighting[v] for v in sorted(weighting, reverse=True)])
+
+    def policy(vals, x, cell):
+        base = vals[x]
+        dist = [(table[vals[j] ^ base], j) for j in _bits(cell)]
+        best = min(dist)[0]
+        return tuple(j for d, j in dist if d == best)
+    return policy
 
 
 def subset_sums(weights) -> list:

@@ -98,15 +98,23 @@ class TestEvalCommand:
 
     def test_invalid_model(self, tmp_path, appendix_path):
         # delta model missing a power-set world: loads, fails validation
-        doc = json.loads(appendix_path.read_text())
-        doc["worlds"] = doc["worlds"][:3]
-        del doc["utility"]["11"]
-        doc["selection"] = []
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        r = run_cli("eval", str(bad), "p")
-        assert r.returncode == 3
-        assert "invalid model" in r.stderr
+        missing = json.loads(appendix_path.read_text())
+        missing["worlds"] = missing["worlds"][:3]
+        del missing["utility"]["11"]
+        missing["selection"] = []
+        # a repeated universe variable: 01, 10 and 11 are all {p}
+        repeated = {"universe": ["p", "p"],
+                    "worlds": ["00", "01", "10", "11"],
+                    "utility": {"00": 0, "01": 1, "10": 1, "11": 1},
+                    "selection": [], "mode": "delta"}
+        for doc, problem in ((missing, "not the full power set"),
+                             (repeated, "universe repeats variables: p")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            r = run_cli("eval", str(bad), "p")
+            assert r.returncode == 3
+            assert "invalid model: " in r.stderr
+            assert problem in r.stderr
 
     def test_unloadable_model(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -157,10 +165,13 @@ class TestEvalCommand:
         ({"p": "-1", "q": "1"},
          "invalid weights: weight of p must be positive"),
         ({"p": "1"}, "invalid weights: weighting undefined on variable q"),
+        # a weight off the universe would be dropped by dumps_model
+        ({"p": "1", "q": "2", "r": "-5"}, "invalid weights: weighting "
+         "mentions variables outside the universe: r"),
         # at 10, the cell {00, 01, 11} picks 11 at distance 2 over 00 at 1
         ({"p": "1", "q": "2"}, "selection at 10 is not nearest"),
         ({"p": "2", "q": "1"}, None),
-    ], ids=["negative", "missing", "not-nearest", "nearest"])
+    ], ids=["negative", "missing", "outside", "not-nearest", "nearest"])
     def test_weights_are_certified(self, tmp_path, appendix_path, weights,
                                    problem):
         doc = json.loads(appendix_path.read_text())

@@ -14,15 +14,17 @@ from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
                            make_worlds, powerset_worlds)
 from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
                            solve_order_constraints)
-from deolog.regimes import BasicRegime, DeltaRegime, WeightClass, \
-    WeightedRegime, delta_minimal, forced_choice, p_nearest
+from deolog import regimes
+from deolog.regimes import (BasicRegime, DeltaRegime, WeightClass,
+                            WeightedRegime, _bits, admissible_basic,
+                            admissible_delta, admissible_forced,
+                            admissible_weighted, delta_minimal,
+                            forced_choice, p_nearest)
 from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
-                           _bits, _can_hold, _model, _oracle_search,
+                           _can_hold, _model, _oracle_search,
                            _orbit_orders, _powerset, _solver_search,
-                           _variable_masks, admissible_basic,
-                           admissible_delta, admissible_forced,
-                           admissible_weighted, check,
+                           _variable_masks, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
@@ -744,6 +746,14 @@ def test_mask_policies_match_world_policies(case):
         (indices([forced]) if forced is not None else ())
     assert admissible_weighted(weighting)(vals, x, cell) == \
         indices(p_nearest(weighting, w, prop))
+
+
+def test_engine_searches_with_the_regimes_policies():
+    """Each mask policy is defined once, in regimes, and the engine's names
+    are bound to those definitions."""
+    for name in ("admissible_basic", "admissible_delta", "admissible_forced",
+                 "admissible_weighted", "_bits"):
+        assert getattr(engine, name) is getattr(regimes, name)
 
 
 def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,

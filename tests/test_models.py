@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deolog.regimes import check_weighting, delta_minimal, p_nearest
+from deolog.regimes import check_weighting, delta_minimal
 from deolog.syntax import And, Not, PrefWeak, Var, desugar, parse
 from deolog.models import (Evaluator, MissingSelectionError, Model, World,
                            denote, holds_at, make_worlds, powerset_worlds,
@@ -202,6 +202,23 @@ class TestValidate:
                           "delta", weights)
             assert validate_model(model) == [f"invalid weights: {problem}"]
 
+    def test_weights_outside_the_universe_are_invalid(self):
+        worlds = powerset_worlds(("p", "q"))
+        model = Model(("p", "q"), worlds, {w: 0 for w in worlds}, {},
+                      "delta", {"p": 1, "q": 2, "r": -5, "s": 1})
+        assert validate_model(model) == [
+            "invalid weights: weighting mentions variables outside the "
+            "universe: r, s"]
+
+    def test_repeated_universe_variable_is_invalid(self):
+        # a universe [p, p] makes 01, 10 and 11 all the world {p}; they pass
+        # as the power set of that universe, so only the repeat is reported
+        universe = ("p", "p")
+        worlds = powerset_worlds(universe)
+        assert len({w.members for w in worlds}) == 2
+        model = Model(universe, worlds, {w: 0 for w in worlds}, {}, "delta")
+        assert validate_model(model) == ["universe repeats variables: p"]
+
     def test_weights_skip_cells_of_unknown_worlds(self):
         worlds = powerset_worlds(("p",))
         stranger = _w("1x", "p", "x")
@@ -215,10 +232,35 @@ class TestValidate:
 
 # --- validate_model against the delta_minimal check it replaced ---------------
 
+def _reference_delta_minimal(w, prop):
+    """regimes.delta_minimal as it was before it was built on delta_admits,
+    which validate_model checks delta picks with."""
+    if not prop:
+        raise ValueError("empty proposition")
+    diffs = {w1: symmetric_difference(w, w1) for w1 in prop}
+    return frozenset(w1 for w1, d1 in diffs.items()
+                     if not any(d2 < d1 for d2 in diffs.values()))
+
+
+def _reference_weighted_distance(weighting, w0, w1):
+    return sum(weighting[v] for v in symmetric_difference(w0, w1))
+
+
+def _reference_p_nearest(weighting, w, prop):
+    """regimes.p_nearest, copied, as validate_model checks weighted picks
+    with it."""
+    if not prop:
+        raise ValueError("empty proposition")
+    dist = {w1: _reference_weighted_distance(weighting, w, w1) for w1 in prop}
+    best = min(dist.values())
+    return frozenset(w1 for w1 in prop if dist[w1] == best)
+
+
 def _reference_problems(model):
     """validate_model as it was before its one-pass cell checks: a delta pick
     is checked against the whole delta_minimal set of its cell, a weighted one
-    against the whole p_nearest set. Kept as the reference."""
+    against the whole p_nearest set, both copied here so that the reference
+    does not share the code it checks."""
     problems = []
     names = [w.name for w in model.worlds]
     if len(set(names)) != len(names):
@@ -247,7 +289,7 @@ def _reference_problems(model):
         problems.append(
             "delta model's worlds are not the full power set of the universe")
     for (w, prop), pick in model.selection.items():
-        if pick in prop and pick not in delta_minimal(w, prop):
+        if pick in prop and pick not in _reference_delta_minimal(w, prop):
             problems.append(
                 f"selection at {w.name} is not delta-based: pick "
                 f"{pick.name} is not difference-minimal in its cell")
@@ -258,7 +300,8 @@ def _reference_problems(model):
             return problems + [f"invalid weights: {exc}"]
         for (w, prop), pick in model.selection.items():
             if prop and pick in prop and \
-                    pick not in p_nearest(model.weights, w, prop):
+                    pick not in _reference_p_nearest(model.weights, w,
+                                                     prop):
                 problems.append(
                     f"selection at {w.name} is not nearest under the "
                     f"weights: pick {pick.name} is not at minimal weighted "
@@ -278,7 +321,7 @@ def _messy_delta_model(universe, rng, stray, weights):
         prop = frozenset(rng.sample(worlds, rng.randrange(len(worlds) + 1)))
         w = rng.choice(worlds)
         if prop and rng.random() >= stray:
-            pick = rng.choice(sorted(delta_minimal(w, prop),
+            pick = rng.choice(sorted(_reference_delta_minimal(w, prop),
                                      key=lambda x: x.name))
         else:
             pick = rng.choice(worlds)
