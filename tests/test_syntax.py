@@ -1,12 +1,27 @@
+"""Parser, printer, desugaring and structural queries.
+
+The pinned parse corpus records, for a few hundred well-formed and malformed
+strings, the tree or the error (message, offset, expected set) that parse
+gives. Regenerate it only when a change of parse behaviour is intended:
+
+    PYTHONPATH=src python tests/test_syntax.py --write
+"""
+
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deolog.syntax import (MAX_DEPTH, And, Bot, Box, CondOblig, Diamond, Iff, Implies,
-                           Not, Oblig, Or, ParseError, Perm, PrefStrict,
-                           PrefWeak, Top, Var, desugar, is_core, modal_depth,
-                           parse, pretty, top_variable, variables)
+from deolog.syntax import (MAX_DEPTH, And, Bot, Box, CondOblig, Diamond,
+                           Formula, Iff, Implies, Not, Oblig, Or, ParseError,
+                           Perm, PrefStrict, PrefWeak, Top, Var, _UNICODE_MAP,
+                           _tokenize, desugar, is_core, modal_depth, parse,
+                           pretty, top_variable, variables)
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "parse_corpus.json"
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -212,3 +227,89 @@ def test_equal_trees_hash_and_compare_equal(spec):
     assert first == second
     assert hash(first) == hash(second)
     assert hash(desugar(first, "p")) == hash(desugar(second, "p"))
+
+
+# --- Pinned parse outcomes ---------------------------------------------------
+
+# token soup is drawn from every lexeme, their Unicode forms, and fragments
+# the lexer must refuse or split
+_SOUP = ["p", "q", "r_1", "~", "&", "|", "->", "<->", ">=", ">", "~~", "<=",
+         "<", "[]", "<>", "O", "P", "C", "T", "F", "(", ")", ",", "¬",
+         "∧", "→", "≽", "□", "ℂ", "$", "-", "<-",
+         "[", "X", "1"]
+
+
+def _outcome(text):
+    """What parse makes of text: the tree, or the error it raises."""
+    try:
+        f = parse(text)
+    except ParseError as exc:
+        return {"error": str(exc), "offset": exc.offset,
+                "expected": sorted(exc.expected)}
+    return {"tree": repr(f)}
+
+
+def _corpus_inputs():
+    texts = ["", " ", "p", "p >", "& p", "p q", "(p", "p)", "()", "C(p)",
+             "C(p,", "C p", "C(p, q, r)", "~~p", "~ ~p", "p <- q", "p - q",
+             "p > q > r", "p >= q <= r", "(p > q) > r", "p > (q > r)",
+             "p ~~ q ~~ r", "p & q > r | s", "p -> q > r -> s", "P", "O",
+             "T F", "p, q", "p $", "A", "1", "_x", "Pp", "pP", "p->q->r",
+             "p<->q<->r", "p -> q <-> r -> s", "~p & q | r -> s <-> t",
+             "[]<>O P ~p", "¬p ∧ (q ≽ r)", "□p → ◇q",
+             "⊤ ≻ ⊥", "𝕆 p", "ℙ p",
+             "ℂ(p, q)", "p ≈ q", "p ≼ q", "p ≺ q",
+             "p ↔ q", "p ∨ q", "C(p > q, r -> s)", "(((p)))",
+             "p & (q", "p & q)", "[] & p", "O", "O (", "p >=", "p >= >= q"]
+    for n in range(62, 67):
+        texts += ["(" * n + "p" + ")" * n, "~ " * n + "p", "[]" * n + "p",
+                  "p -> " * n + "p", " & ".join(["p"] * n),
+                  " <-> ".join(["p"] * n), "C(p, " * n + "p" + ")" * n,
+                  "O (" * n + "p" + ")" * n]
+    rng = random.Random(14)
+    for _ in range(200):
+        tokens = [rng.choice(_SOUP) for _ in range(rng.randrange(1, 13))]
+        texts.append(rng.choice(["", " "]).join(tokens))
+    for _ in range(150):
+        text = pretty(_random_surface(rng, 3))
+        i = rng.randrange(len(text) + 1)
+        mutation = rng.randrange(3)
+        if mutation == 0:       # drop a span
+            text = text[:i] + text[i + rng.randrange(1, 4):]
+        elif mutation == 1:     # insert a soup token
+            text = text[:i] + rng.choice(_SOUP) + text[i:]
+        texts.append(text)      # else keep the printed formula as it is
+    return list(dict.fromkeys(texts))
+
+
+def test_parse_outcomes_match_the_pinned_corpus():
+    corpus = json.loads(CORPUS.read_text())
+    assert len(corpus) > 300
+    for text, outcome in corpus:
+        assert _outcome(text) == outcome, text
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(st.lists(st.sampled_from(_SOUP), max_size=16),
+       st.sampled_from(["", " "]))
+def test_token_soup_parses_or_raises_parse_error(tokens, separator):
+    try:
+        f = parse(separator.join(tokens))
+    except ParseError:
+        return
+    assert isinstance(f, Formula)
+    assert parse(pretty(f)) == f
+
+
+def test_unicode_symbols_stand_for_lexemes():
+    for lexeme in _UNICODE_MAP.values():
+        tokens = _tokenize(lexeme)
+        assert [kind for kind, _, _ in tokens] == [lexeme, "eof"], lexeme
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_syntax.py --write")
+    entries = [json.dumps([text, _outcome(text)], ensure_ascii=False)
+               for text in _corpus_inputs()]
+    CORPUS.write_text("[\n" + ",\n".join(entries) + "\n]\n")
