@@ -15,7 +15,7 @@ import sys
 from .syntax import ParseError, desugar, parse, pretty
 from .models import MissingSelectionError, denote, validate_model
 from .regimes import BasicRegime, DeltaRegime, WeightClass, WeightedRegime
-from .engine import Sequent, check, satisfiable
+from .engine import Sequent, check, parse_formulas, satisfiable
 from . import documents
 from .proofs import check_derivation
 from .suite import run_suite
@@ -151,9 +151,7 @@ def cmd_check(args):
 
 
 def cmd_sat(args):
-    texts = [part for arg in args.formulas for part in arg.split(";")
-             if part.strip()]
-    fs = [parse(t) for t in texts]
+    fs = [f for arg in args.formulas for f in parse_formulas(arg)]
     verdict = satisfiable(fs, _regime_from_args(args),
                           strict_def7=args.strict_def7)
     _print_verdict(verdict, args.json)

@@ -104,8 +104,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import syntax
-from .syntax import (And, Formula, Not, PrefWeak, Var, desugar, parse,
-                     top_variable)
+from .syntax import (And, Formula, Not, ParseError, PrefWeak, Var, desugar,
+                     parse, top_variable)
 from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
                      powerset_worlds)
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
@@ -139,8 +139,8 @@ class Sequent:
         if "|-" not in text:
             raise ValueError("sequent must contain '|-'")
         left, right = text.split("|-", 1)
-        premises = tuple(parse(p) for p in left.split(";") if p.strip())
-        return cls(premises, parse(right))
+        return cls(tuple(parse_formulas(left)),
+                   _parse_at(right, len(left) + len("|-")))
 
     def goal(self, strict_def7=False) -> Formula:
         """Core formula satisfied exactly where the sequent is refuted."""
@@ -149,6 +149,26 @@ class Sequent:
     def __str__(self):
         left = " ; ".join(syntax.pretty(p) for p in self.premises)
         return f"{left} |- {syntax.pretty(self.conclusion)}".strip()
+
+
+def parse_formulas(text: str) -> list:
+    """The formulas of the ';'-separated list text; blank items are skipped.
+    A ParseError's offset counts from the start of text."""
+    formulas = []
+    start = 0
+    for item in text.split(";"):
+        if item.strip():
+            formulas.append(_parse_at(item, start))
+        start += len(item) + len(";")
+    return formulas
+
+
+def _parse_at(text, start):
+    """parse(text), where text starts at offset start of the input."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise exc.shifted(start) from None
 
 
 def _conjoin(formulas, strict_def7) -> Formula:

@@ -74,10 +74,14 @@ def apply_substitution(template: Formula, subst: dict) -> Formula:
 #: Truth-functional connectives: is_tautology_instance abstracts the rest
 _TRUTH_FUNCTIONAL = (Top, Bot, Not, And, Or, Implies, Iff)
 
+#: Most atoms a tautology check abstracts: it evaluates on masks of 2^k bits
+MAX_TAUTOLOGY_ATOMS = 20
+
 
 def is_tautology_instance(f: Formula) -> bool:
     """True iff f is a truth-functional tautology once its maximal modal and
-    preference subformulas are abstracted as atoms."""
+    preference subformulas are abstracted as atoms. Raises ValueError for
+    more than MAX_TAUTOLOGY_ATOMS atoms."""
     atoms = {}
 
     def abstract(g):
@@ -88,7 +92,11 @@ def is_tautology_instance(f: Formula) -> bool:
             return type(g)(*map(abstract, operands)) if operands else g
         return atoms.setdefault(g, Var(f"a{len(atoms)}"))
 
-    goal = Goal(desugar(abstract(f)))
+    abstracted = abstract(f)
+    if len(atoms) > MAX_TAUTOLOGY_ATOMS:
+        raise ValueError(f"tautology check over {len(atoms)} atoms, more "
+                         f"than {MAX_TAUTOLOGY_ATOMS}")
+    goal = Goal(desugar(abstracted))
     # one run evaluates every assignment of the atoms: slot masks range
     # over the 2^k assignments
     k = len(goal.variables)

@@ -88,22 +88,13 @@ class Claim:
     run: object          # () -> (observed kind, fingerprint)
 
 
-def _check_claim(text, regime):
-    def run():
-        sequent = Sequent.parse(text)
-        verdict = check(sequent, regime)
-        _reverify(sequent, verdict)
-        return verdict.kind, verdict.fingerprint
-    return run
-
-
-def _forall_invalid_claim(text):
-    def run():
-        sequent = Sequent.parse(text)
-        verdict = check_forall_weights_invalidity(sequent)
-        _reverify(sequent, verdict)
-        return verdict.kind, verdict.fingerprint
-    return run
+def _sequent_claim(text, decide):
+    """Decide the sequent text with decide(sequent), re-verify the verdict's
+    countermodel, and give the verdict kind and fingerprint."""
+    sequent = Sequent.parse(text)
+    verdict = decide(sequent)
+    _reverify(sequent, verdict)
+    return verdict.kind, verdict.fingerprint
 
 
 def _reverify(sequent, verdict):
@@ -123,8 +114,12 @@ def _registry():
     claims = []
 
     def add(claim_id, text, regime, expected):
-        claims.append(Claim(claim_id, expected,
-                            _check_claim(text, regime)))
+        claims.append(Claim(claim_id, expected, lambda: _sequent_claim(
+            text, lambda sequent: check(sequent, regime))))
+
+    def add_forall_invalid(claim_id, text):
+        claims.append(Claim(claim_id, "invalid", lambda: _sequent_claim(
+            text, check_forall_weights_invalidity)))
 
     # preference validities: reflexivity needs its possibility guard, since
     # an empty operand falsifies any comparison (existential import)
@@ -212,11 +207,9 @@ def _registry():
         "l": "~q > ~p ; O p |- O q",
     }
     for label, text in prop6.items():
-        claims.append(Claim(f"Prop6.{label}", "invalid",
-                            _forall_invalid_claim(text)))
+        add_forall_invalid(f"Prop6.{label}", text)
     for label, text in prop7.items():
-        claims.append(Claim(f"Prop7.{label}", "invalid",
-                            _forall_invalid_claim(text)))
+        add_forall_invalid(f"Prop7.{label}", text)
 
     # rejected definitions of conditional obligation
     add("S31.1", "C(p,q) |- C(~q,~p)", DELTA0, "invalid")

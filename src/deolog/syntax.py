@@ -12,6 +12,11 @@ surface_variables visit each distinct node object once, iteratively, so the
 queries take time linear in the DAG. _height, the depth check of every
 parse, keeps no memo (parser output is a tree) but is iterative too: the
 parser builds a left-deep chain such as p & p & ... without recursing.
+
+Concrete syntax has one table per operator kind: _BIN (each binary class,
+its text and precedence level), _PREFIX and _CONSTANTS. The lexer's lexemes,
+the parser's text-to-class maps and the printer all read them, so
+parse(pretty(f)) == f does not rest on two encodings agreeing.
 """
 
 from __future__ import annotations
@@ -198,16 +203,51 @@ def is_core(f: Formula) -> bool:
     return fold(f, lambda g, operands: type(g) in _CORE and all(operands))
 
 
+# --- Operator tables ---------------------------------------------------------
+
+# precedence levels, loosest first. -> associates to the right, the
+# preference operators do not associate, and the others associate to the left
+_P_PREF, _P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = range(1, 8)
+
+#: Each binary class: its text and precedence level
+_BIN = {
+    And: ("&", _P_AND), Or: ("|", _P_OR), Implies: ("->", _P_IMP),
+    Iff: ("<->", _P_IFF), PrefWeak: (">=", _P_PREF), PrefStrict: (">", _P_PREF),
+    PrefEq: ("~~", _P_PREF), PrefWeakRev: ("<=", _P_PREF),
+    PrefStrictRev: ("<", _P_PREF),
+}
+
+#: Constants and prefix operators: each class and the text it prints with
+_CONSTANTS = {Top: "T", Bot: "F"}
+_PREFIX = {Not: "~", Box: "[]", Diamond: "<>", Oblig: "O ", Perm: "P "}
+
+#: CondOblig prints as a call: C(condition, duty)
+_COND = "C"
+
+_BINARY_OPS = {text: (cls, level) for cls, (text, level) in _BIN.items()}
+_CONSTANT_OPS = {text: cls for cls, text in _CONSTANTS.items()}
+_PREFIX_OPS = {text.strip(): cls for cls, text in _PREFIX.items()}
+_FORMULA_START = {*_PREFIX_OPS, *_CONSTANT_OPS, _COND, "(", "ident"}
+#: Every lexeme but identifiers. The lexer takes the longest that matches.
+_LEXEMES = {*_BINARY_OPS, *_PREFIX_OPS, *_CONSTANT_OPS, _COND, "(", ")", ","}
+_LONGEST = max(map(len, _LEXEMES))
+
+
 # --- Parsing -----------------------------------------------------------------
 
 class ParseError(Exception):
     def __init__(self, message, offset, expected=()):
+        self.message = message
         self.offset = offset
         self.expected = frozenset(expected)
         detail = f"{message} at offset {offset}"
         if expected:
             detail += " (expected one of: %s)" % ", ".join(sorted(expected))
         super().__init__(detail)
+
+    def shifted(self, start):
+        """This error in text that starts at offset start of a longer input."""
+        return ParseError(self.message, self.offset + start, self.expected)
 
 
 _UNICODE_MAP = {
@@ -218,65 +258,37 @@ _UNICODE_MAP = {
     "\U0001d546": "O", "ℙ": "P", "ℂ": "C",
 }
 
-_MULTI = ["<->", "~~", "->", ">=", "<=", "<>", "[]"]
-_SINGLE = "~&|><(),"
-
 
 def _tokenize(text):
-    """The list of (kind, lexeme, offset) triples of text. Kinds: op
-    lexemes themselves, 'ident', 'eof'."""
+    """The list of (kind, lexeme, offset) triples of text. Kinds: the
+    lexemes of _LEXEMES themselves, 'ident', 'eof'."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in _UNICODE_MAP:
-            tokens.append((_UNICODE_MAP[ch], _UNICODE_MAP[ch], i))
-            i += 1
-            continue
-        matched = False
-        for op in _MULTI:
-            if text.startswith(op, i):
-                tokens.append((op, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in "TFOPC":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.islower() or ch == "_":
+        elif ch.islower() or ch == "_":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        elif ch in _UNICODE_MAP:
+            lexeme = _UNICODE_MAP[ch]
+            tokens.append((lexeme, lexeme, i))
+            i += 1
+        else:
+            size = _LONGEST
+            while text[i:i + size] not in _LEXEMES:
+                size -= 1
+                if not size:
+                    raise ParseError(f"unexpected character {ch!r}", i)
+            lexeme = text[i:i + size]
+            tokens.append((lexeme, lexeme, i))
+            i += size
     tokens.append(("eof", "", n))
     return tokens
-
-
-_PREF_OPS = {
-    ">=": PrefWeak, ">": PrefStrict, "<=": PrefWeakRev,
-    "<": PrefStrictRev, "~~": PrefEq,
-}
-
-#: Constants and prefix operators: each class and the text it prints with
-_CONSTANTS = {Top: "T", Bot: "F"}
-_PREFIX = {Not: "~", Box: "[]", Diamond: "<>", Oblig: "O ", Perm: "P "}
-_CONSTANT_OPS = {text: cls for cls, text in _CONSTANTS.items()}
-_PREFIX_OPS = {text.strip(): cls for cls, text in _PREFIX.items()}
-
-_FORMULA_START = {"~", "[]", "<>", "O", "P", "C", "T", "F", "(", "ident"}
 
 
 #: Deepest formula accepted. Parsing, desugaring, printing and evaluation
@@ -291,13 +303,13 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def nested(self, parse):
+    def nested(self, parse, *args):
         """Parse one level deeper, refusing input nested beyond MAX_DEPTH."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
                              self.peek()[2])
-        f = parse()
+        f = parse(*args)
         self.depth -= 1
         return f
 
@@ -317,55 +329,34 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        f = self.parse_pref()
+        f = self.parse_binary(_P_PREF)
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2],
                              expected={"eof"})
         return f
 
-    def parse_pref(self):
-        left = self.parse_iff()
-        tok = self.peek()
-        if tok[0] in _PREF_OPS:
+    def parse_binary(self, level):
+        """A formula whose binary operators bind at level or tighter, by
+        precedence climbing over _BIN."""
+        left = self.parse_unary()
+        while True:
+            op = _BINARY_OPS.get(self.peek()[0])
+            if op is None or op[1] < level:
+                return left
             self.advance()
-            right = self.parse_iff()
+            cls, op_level = op
+            if op_level == _P_IMP:  # right-associative
+                left = cls(left, self.nested(self.parse_binary, _P_IMP))
+                continue
+            left = cls(left, self.parse_binary(op_level + 1))
             nxt = self.peek()
-            if nxt[0] in _PREF_OPS:
-                # preference operators are non-associative
+            # the right operand took every tighter operator, so only another
+            # preference operator can follow it here
+            if op_level == _P_PREF and nxt[0] in _BINARY_OPS:
                 raise ParseError(
                     "preference operators do not associate; add parentheses",
                     nxt[2], expected={"eof", ")"})
-            return _PREF_OPS[tok[0]](left, right)
-        return left
-
-    def parse_iff(self):
-        f = self.parse_implies()
-        while self.peek()[0] == "<->":
-            self.advance()
-            f = Iff(f, self.parse_implies())
-        return f
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.nested(self.parse_implies))
-        return left
-
-    def parse_or(self):
-        f = self.parse_and()
-        while self.peek()[0] == "|":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self):
-        f = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
 
     def parse_unary(self):
         cls = _PREFIX_OPS.get(self.peek()[0])
@@ -382,17 +373,17 @@ class _Parser:
         if tok[0] in _CONSTANT_OPS:
             self.advance()
             return _CONSTANT_OPS[tok[0]]()
-        if tok[0] == "C":
+        if tok[0] == _COND:
             self.advance()
             self.expect("(")
-            first = self.nested(self.parse_pref)
+            first = self.nested(self.parse_binary, _P_PREF)
             self.expect(",")
-            second = self.nested(self.parse_pref)
+            second = self.nested(self.parse_binary, _P_PREF)
             self.expect(")")
             return CondOblig(first, second)
         if tok[0] == "(":
             self.advance()
-            f = self.nested(self.parse_pref)
+            f = self.nested(self.parse_binary, _P_PREF)
             self.expect(")")
             return f
         raise ParseError(
@@ -415,17 +406,6 @@ def parse(text: str) -> Formula:
 
 
 # --- Printing ----------------------------------------------------------------
-
-# precedence levels, loosest first
-_P_PREF, _P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = range(1, 8)
-
-_BIN = {
-    And: ("&", _P_AND), Or: ("|", _P_OR), Implies: ("->", _P_IMP),
-    Iff: ("<->", _P_IFF), PrefWeak: (">=", _P_PREF), PrefStrict: (">", _P_PREF),
-    PrefEq: ("~~", _P_PREF), PrefWeakRev: ("<=", _P_PREF),
-    PrefStrictRev: ("<", _P_PREF),
-}
-
 
 def _prec(f):
     if type(f) in _BIN:
@@ -463,7 +443,7 @@ def _pretty(f: Formula) -> str:
         # "~~" would lex as the preference-equivalence operator
         return ("~ " if cls is Not and s.startswith("~") else _PREFIX[cls]) + s
     if cls is CondOblig:
-        return "C(%s, %s)" % tuple(map(_pretty, children(f)))
+        return "%s(%s, %s)" % (_COND, *map(_pretty, children(f)))
     if cls in _CONSTANTS:
         return _CONSTANTS[cls]
     if cls not in _BIN:

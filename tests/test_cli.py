@@ -236,6 +236,16 @@ class TestCheckCommand:
     def test_bad_sequent(self):
         assert run_cli("check", "O p").returncode == 3
 
+    @pytest.mark.parametrize("sequent, offset", [
+        ("p ; q & |- r", 8),    # where |- starts
+        ("p ; q |- r &", 12),   # the end of the input
+    ])
+    def test_syntax_error_offset_counts_from_the_sequent_start(self, sequent,
+                                                              offset):
+        r = run_cli("check", sequent)
+        assert r.returncode == 3
+        assert f"at offset {offset} " in r.stderr
+
     def test_bad_class(self):
         r = run_cli("check", "|- O p", "--regime", "weighted",
                     "--class", "p>")
@@ -316,6 +326,11 @@ class TestSatCommand:
         assert r.returncode == 0
         assert "verdict: sat" in r.stdout
 
+    def test_syntax_error_offset_counts_from_the_argument_start(self):
+        r = run_cli("sat", "p", "q ; r &")
+        assert r.returncode == 3
+        assert "at offset 7 " in r.stderr
+
     def test_no_formula_is_a_usage_error(self):
         # used to crash in engine._conjoin and exit 1, which reads as unsat
         r = run_cli("sat", ";")
@@ -386,6 +401,15 @@ class TestProveCommand:
     def test_missing_file(self):
         assert run_cli("prove", "--check", "no-such-file.json")\
             .returncode == 3
+
+    def test_tautology_over_the_atom_cap_is_a_usage_error(self, tmp_path):
+        formula = " & ".join(f"a{i}" for i in range(21)) + " -> a0"
+        path = tmp_path / "derivation.json"
+        path.write_text(json.dumps({"steps": [
+            {"kind": "axiom", "schema": "PC-taut", "formula": formula}]}))
+        r = run_cli("prove", "--check", str(path))
+        assert r.returncode == 3
+        assert "21 atoms, more than 20" in r.stderr
 
     @pytest.mark.parametrize("doc, problem", [
         ([], "a derivation document must be an object"),

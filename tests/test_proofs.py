@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deolog.syntax import (And, Bot, Iff, Implies, Not, Or, Top, Var, parse)
-from deolog.proofs import (SCHEMAS, MetaVar, Step, apply_substitution,
-                           check_derivation, is_tautology_instance,
-                           match_schema, step_from_dict)
+from deolog import proofs
+from deolog.proofs import (MAX_TAUTOLOGY_ATOMS, SCHEMAS, MetaVar, Step,
+                           apply_substitution, check_derivation,
+                           is_tautology_instance, match_schema,
+                           step_from_dict)
 
 
 class TestMatchSchema:
@@ -67,6 +69,20 @@ class TestTautologyInstance:
         # []p and p are distinct atoms after abstraction
         assert not is_tautology_instance(parse("[]p -> p"))
         assert is_tautology_instance(parse("[]p -> []p"))
+
+    def test_atoms_over_the_cap_are_refused_before_any_mask(self,
+                                                           monkeypatch):
+        def no_masks(k):
+            raise AssertionError(f"masks built for {k} atoms")
+
+        monkeypatch.setattr(proofs, "_assignment_masks", no_masks)
+        names = [f"a{i}" for i in range(MAX_TAUTOLOGY_ATOMS + 1)]
+        f = parse(" & ".join(names) + " -> a0")
+        with pytest.raises(ValueError, match="more than"):
+            is_tautology_instance(f)
+        step = Step("axiom", f, "PC-taut")
+        with pytest.raises(ValueError, match="more than"):
+            check_derivation([step])
 
 
 def _atoms(f, atoms):

@@ -260,7 +260,7 @@ def _corpus_inputs():
              "⊤ ≻ ⊥", "𝕆 p", "ℙ p",
              "ℂ(p, q)", "p ≈ q", "p ≼ q", "p ≺ q",
              "p ↔ q", "p ∨ q", "C(p > q, r -> s)", "(((p)))",
-             "p & (q", "p & q)", "[] & p", "O", "O (", "p >=", "p >= >= q"]
+             "p & (q", "p & q)", "[] & p", "O (", "p >=", "p >= >= q"]
     for n in range(62, 67):
         texts += ["(" * n + "p" + ")" * n, "~ " * n + "p", "[]" * n + "p",
                   "p -> " * n + "p", " & ".join(["p"] * n),
