@@ -17,7 +17,7 @@ from .models import MissingSelectionError, denote, validate_model
 from .regimes import BasicRegime, DeltaRegime, WeightClass, WeightedRegime
 from .engine import Sequent, check, parse_formulas, satisfiable
 from . import documents
-from .proofs import check_derivation
+from .proofs import check_derivation, load_derivation
 from .suite import run_suite
 
 EXIT_USAGE = 3
@@ -182,7 +182,7 @@ def cmd_suite(args):
 
 def cmd_prove(args):
     try:
-        steps = documents.load_derivation(args.derivation)
+        steps = load_derivation(args.derivation)
     except (OSError, ValueError, KeyError, ParseError) as exc:
         print(f"error: cannot load derivation: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Serialization: model documents, verdict reports, derivation files.
+"""Serialization: model documents and verdict reports.
 
 Model documents are JSON with canonical field order (universe, worlds,
 utility, selection, mode, weights). Worlds are named by bit-strings over the
@@ -230,16 +230,3 @@ def format_verdict(verdict) -> str:
     if verdict.detail is not None:
         lines.append(f"note: {verdict.detail}")
     return "\n".join(lines)
-
-
-def derivation_from_doc(doc: dict) -> list:
-    """The steps a parsed derivation document lists. Raises KeyError or
-    ValueError on a malformed document."""
-    from .proofs import step_from_dict
-    steps = _typed(doc, dict, "a derivation document")["steps"]
-    return [step_from_dict(entry) for entry in _typed(steps, list, '"steps"')]
-
-
-def load_derivation(path):
-    with open(path) as fh:
-        return derivation_from_doc(json.load(fh))

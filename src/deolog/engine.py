@@ -15,8 +15,9 @@ regime takes the first model found under any weighting, and
 check_forall_weights_invalidity, rung by rung, asks for a model under every
 weighting. A budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables)
 raises BudgetExceeded in a rung; _budgeted alone catches it, for _find and
-for the rungs of check_forall_weights_invalidity. With the base rung cut, no
-model means qualified-valid to check and unknown to satisfiable. The only
+for the rungs of check_forall_weights_invalidity. With the base rung cut, or
+in basic, whose frames stop at max_worlds with no small-model bound known,
+no model means qualified-valid to check and unknown to satisfiable. The only
 option of a decision is strict_def7, the reading of P the goal is built
 with.
 
@@ -38,11 +39,11 @@ satisfiable exactly when those of its pattern are: the pattern relabels the
 picked worlds by first occurrence, so it keeps only which cells pick the same
 world, and renaming worlds injectively keeps every cycle and strict edge. So
 the rank solver decides each (cell sides, pattern, assignment) once per Goal,
-in ascending order of assignments and none past the first that some pattern
-of the world allows. It skips the assignments no pattern allows, and under
-the others walks the combinations in order, solving only those whose pattern
-is satisfiable. It finds the same ranks and model as solving every
-combination would.
+and per row takes from Goal.allowed, for each pattern, the mask of the row's
+satisfying assignments it allows. It walks the assignments some pattern
+allows in ascending order, and under each the combinations in order, solving
+only those whose pattern allows it. It finds the same ranks and model as
+solving every combination would.
 
 A basic frame is a multiset of valuations, and swapping two worlds of one
 valuation maps the frame to itself: every admissibility policy reads only
@@ -72,7 +73,7 @@ pick once a valuation is repeated. And the pattern in which every cell
 picks a world of its own relaxes all the others, since ranks solving any
 pattern's constraints give each cell the rank of its pick. So when that
 pattern is orderable under no assignment satisfying some row of the set
-(Goal.first_allowed, on the same memo as the pick walk), no pattern of any
+(Goal.allowed, on the same memo as the pick walk), no pattern of any
 frame over the set is, and the solver would return None on each of them.
 The other frames are searched as before, so the first model is unchanged.
 
@@ -303,26 +304,22 @@ class Goal:
             elif kind == _AND:
                 values[i] = values[a] & values[b]
 
-    def first_allowed(self, sides, pattern, assignments):
-        """The lowest assignment in the mask assignments under which some
-        utility gives the free atoms their truth values when cells of the
-        given sides pick as pattern says, as a one-bit mask, or 0: the
-        answer of every combination of picks with that pattern. Assignments
-        are decided in ascending order, and none above that one."""
+    def allowed(self, sides, pattern, assignments):
+        """The mask of the assignments in the mask assignments under which
+        some utility gives the free atoms their truth values when cells of
+        the given sides pick as pattern says: the answer of every
+        combination of picks with that pattern. Each assignment is decided
+        once per Goal."""
         decided = self.orderable.setdefault(sides, {})
         done, ok = decided.get(pattern, (0, 0))
         todo = assignments & ~done
         if todo:
-            while todo and not ok & assignments & ((todo & -todo) - 1):
-                low = todo & -todo
-                todo ^= low
-                done |= low
-                if solve_order_constraints(_rank_constraints(
-                        sides, low.bit_length() - 1, pattern)) is not None:
-                    ok |= low
-            decided[pattern] = (done, ok)
-        allowed = ok & assignments
-        return allowed & -allowed
+            for t in _bits(todo):
+                if solve_order_constraints(
+                        _rank_constraints(sides, t, pattern)) is not None:
+                    ok |= 1 << t
+            decided[pattern] = (done | todo, ok)
+        return ok & assignments
 
 
 def _variable_masks(universe, vals, names):
@@ -498,9 +495,8 @@ def _can_hold(goal, universe, valset):
     satisfying assignment lets every cell pick a world of its own, whose
     rank constraints relax those of every other pattern."""
     structure = _cells_of(goal, universe, valset)
-    return goal.first_allowed(structure.sides,
-                              tuple(range(len(structure.cells))),
-                              structure.assignments) != 0
+    return goal.allowed(structure.sides, tuple(range(len(structure.cells))),
+                        structure.assignments) != 0
 
 
 def _solver_search(universe, vals, goal, admissible, mode, weights=None):
@@ -539,22 +535,11 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
         if patterns is None:
             patterns = patterns_of[pick_lists] = set(
                 map(_pattern, itertools.product(*pick_lists)))
-        remaining = satisfying
-        while remaining:
-            # the lowest remaining assignment some pattern allows (best),
-            # and each pattern's lowest up to the best found before it
-            best, limit, firsts = 0, remaining, {}
-            for pattern in patterns:
-                first = firsts[pattern] = goal.first_allowed(sides, pattern,
-                                                             limit)
-                if first:
-                    best, limit = first, remaining & ((first << 1) - 1)
-            if not best:
-                break
-            remaining &= ~((best << 1) - 1)
-            t = best.bit_length() - 1
+        allowed = {pattern: goal.allowed(sides, pattern, satisfying)
+                   for pattern in patterns}
+        for t in _bits(functools.reduce(int.__or__, allowed.values())):
             for combo in itertools.product(*pick_lists):
-                if firsts[_pattern(combo)] != best:
+                if not allowed[_pattern(combo)] >> t & 1:
                     continue
                 ranks = solve_order_constraints(
                     _rank_constraints(sides, t, combo))
@@ -823,12 +808,13 @@ class _Search(NamedTuple):
 
     def verdict(self, found, none, cut) -> Verdict:
         """A verdict of kind found if a model was found, else of kind cut if
-        a budget cut the base rung, else of kind none."""
+        a budget cut the base rung or the search proves only its bound, else
+        of kind none."""
         if self.found:
             return Verdict(found, self.fingerprint, *self.found, **self.fields)
         if not self.complete:
             return Verdict(cut, self.fingerprint, detail=self.cut_note)
-        return Verdict(none, self.fingerprint)
+        return Verdict(cut if self.bounded else none, self.fingerprint)
 
 
 def _find(goal, regime) -> _Search:
@@ -884,9 +870,8 @@ def _find(goal, regime) -> _Search:
 def check(sequent: Sequent, regime, strict_def7=False) -> Verdict:
     """Decide the sequent in the given regime: a model and a world satisfying
     its goal refute it."""
-    search = _find(Goal(sequent.goal(strict_def7)), regime)
-    return search.verdict("invalid", "qualified-valid" if search.bounded
-                          else "valid", "qualified-valid")
+    return _find(Goal(sequent.goal(strict_def7)), regime).verdict(
+        "invalid", "valid", "qualified-valid")
 
 
 def satisfiable(formulas, regime, strict_def7=False) -> Verdict:
@@ -921,7 +906,8 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
         found, _ = _budgeted(_per_weighting, goal, universe, weightings, True)
         if found:
             return Verdict("invalid", fingerprint, *found,
-                           weight_robust=False, strategy="per-weighting")
+                           weight_robust=False, weighting=found[0].weights,
+                           strategy="per-weighting")
     return Verdict("unknown", fingerprint,
                    detail="no rung of the ladder has a countermodel for "
                           "every weighting")

@@ -4,11 +4,13 @@ The axiom base is a standard S5 presentation (propositional tautologies, K,
 T, 5) over the defined box, plus three preference schemata: transitivity,
 connectedness of possible operands, and substitution of necessary
 equivalents. Theorems are closed under modus ponens and necessitation.
-Only checking is supported, not proof search.
+Only checking is supported, not proof search. Derivations are read from JSON
+documents whose "steps" list one step per line.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .documents import _typed
@@ -153,6 +155,18 @@ def step_from_dict(entry: dict) -> Step:
     if kind == "nec":
         return Step("nec", refs=(_typed(entry["ref"], int, '"ref"'),))
     raise ValueError(f"unknown step kind {kind!r}")
+
+
+def derivation_from_doc(doc: dict) -> list:
+    """The steps a parsed derivation document lists. Raises KeyError or
+    ValueError on a malformed document."""
+    steps = _typed(doc, dict, "a derivation document")["steps"]
+    return [step_from_dict(entry) for entry in _typed(steps, list, '"steps"')]
+
+
+def load_derivation(path):
+    with open(path) as fh:
+        return derivation_from_doc(json.load(fh))
 
 
 def check_derivation(steps) -> CheckResult:

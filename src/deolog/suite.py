@@ -21,8 +21,7 @@ from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
                       delta_minimal, p_nearest)
 from .engine import (Sequent, check, check_forall_weights_invalidity,
                      satisfiable)
-from .proofs import check_derivation
-from .documents import derivation_from_doc
+from .proofs import check_derivation, derivation_from_doc
 
 
 # --- Random generators -------------------------------------------------------

@@ -299,6 +299,14 @@ class TestSatCommand:
     def test_oblig_top(self):
         assert run_cli("sat", "O T").returncode == 1
 
+    def test_bounded_basic_search_is_unknown(self):
+        # two worlds satisfy it: finding no one-world model proves nothing
+        args = ("sat", "<>p", "<>~p", "--regime", "basic", "--max-worlds")
+        r = run_cli(*args, "1")
+        assert r.returncode == 2
+        assert "verdict: unknown" in r.stdout
+        assert run_cli(*args, "2").returncode == 0
+
     def test_same_ladder_as_check(self):
         # check "O O p |- O p" finds its countermodel on rung 1
         r = run_cli("sat", "O O p", "~O p", "--json")

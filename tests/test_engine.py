@@ -23,13 +23,14 @@ from deolog.regimes import (BasicRegime, DeltaRegime, WeightClass,
 from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
                            _can_hold, _model, _oracle_search,
-                           _orbit_orders, _powerset, _solver_search,
+                           _orbit_orders, _pattern, _powerset,
+                           _rank_constraints, _solver_search,
                            _variable_masks, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
-from deolog.documents import load_derivation, model_to_doc
-from deolog.proofs import check_derivation
+from deolog.documents import model_to_doc
+from deolog.proofs import check_derivation, load_derivation
 
 BASIC4 = BasicRegime(4)
 DELTA0 = DeltaRegime(0)
@@ -164,6 +165,20 @@ class TestForallWeights:
             for (w, prop), pick in m.selection.items():
                 assert pick in p_nearest(m.weights, w, prop)
 
+    def test_per_weighting_fallback(self):
+        # no forced-pick model refutes it, so every weighting of the base
+        # rung needs a countermodel of its own
+        text = "p ; q |- O(p & q)"
+        v = check_forall_weights_invalidity(Sequent.parse(text))
+        assert (v.kind, v.strategy, v.weight_robust) == \
+            ("invalid", "per-weighting", False)
+        m = v.countermodel
+        assert m.universe == ("p", "q")
+        assert v.weighting == m.weights == {"p": 1, "q": 1}
+        for (w, prop), pick in m.selection.items():
+            assert pick in p_nearest(m.weights, w, prop)
+        assert _refutes(v, text)
+
     @pytest.mark.parametrize("grid", [(), (0, 1, 2), (-1, 1)])
     def test_grid_must_be_positive(self, grid):
         with pytest.raises(ValueError):
@@ -187,10 +202,12 @@ class TestSatisfiable:
 
     def test_oblig_top(self):
         assert satisfiable([parse("O T")], DELTA0).kind == "unsat"
-        assert satisfiable([parse("O T")], BASIC4).kind == "unsat"
+        # no small-model bound is known for basic: a bounded search proves
+        # only that no frame of up to 4 worlds has a model
+        assert satisfiable([parse("O T")], BASIC4).kind == "unknown"
 
     def test_perm_bot(self):
-        assert satisfiable([parse("P F")], BASIC4).kind == "unsat"
+        assert satisfiable([parse("P F")], BASIC4).kind == "unknown"
 
 
 class TestStrictDef7:
@@ -454,6 +471,34 @@ def test_pattern_search_matches_per_combination(formula, policy, weights):
     for vals, admissible, mode, model_weights in runs:
         args = (PQ, vals, goal, admissible, mode, model_weights)
         assert _solver_search(*args) == _per_combination_search(*args)
+
+
+def _sides_and_pattern(cells, k):
+    """k free atoms' (left, right) cell indices among cells, and a pick
+    pattern of the cells."""
+    side = st.tuples(st.integers(0, cells - 1), st.integers(0, cells - 1))
+    return st.tuples(
+        st.lists(side.filter(lambda s: s[0] != s[1]), min_size=k,
+                 max_size=k).map(tuple),
+        st.lists(st.integers(0, cells - 1), min_size=cells,
+                 max_size=cells).map(_pattern))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data(), cells=st.integers(2, 4), k=st.integers(1, 3))
+def test_allowed_is_the_mask_of_orderable_assignments(data, cells, k):
+    # calls on one Goal share its memo: draw from two (sides, pattern)
+    # pairs, so later calls find some assignments decided and others not
+    pairs = data.draw(st.lists(_sides_and_pattern(cells, k), min_size=1,
+                               max_size=2))
+    goal = Goal(Var("p"))
+    for _ in range(data.draw(st.integers(1, 5))):
+        sides, pattern = data.draw(st.sampled_from(pairs))
+        assignments = data.draw(st.integers(0, (1 << (1 << k)) - 1))
+        expected = sum(1 << t for t in range(1 << k)
+                       if assignments >> t & 1 and solve_order_constraints(
+                           _rank_constraints(sides, t, pattern)) is not None)
+        assert goal.allowed(sides, pattern, assignments) == expected
 
 
 def test_ax3_commute_prunes_solver_calls(monkeypatch):

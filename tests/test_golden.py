@@ -62,6 +62,9 @@ EXTRA = {
     "forall-weights grid (1, 2, 3): O p |- O(p & q) | O(p & ~q)":
         lambda: check_forall_weights_invalidity(
             Sequent.parse("O p |- O(p & q) | O(p & ~q)"), grid=(1, 2, 3)),
+    "forall-weights: p ; q |- O(p & q)":
+        lambda: check_forall_weights_invalidity(
+            Sequent.parse("p ; q |- O(p & q)")),
 }
 
 
