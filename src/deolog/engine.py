@@ -9,13 +9,15 @@ the regime's retry ladder in order and stops at the first model. The ladder
 of basic is its frames, up to max_worlds worlds; of delta, the goal's
 variables plus e, e+1 and e+2 fresh ones, e being the regime's extra
 variables (the base rung); of weighted, those rungs with forced picks, which
-are nearest under every weighting, then each weighting on the base rung. One
-helper, _per_weighting, searches a frame once per weighting: the weighted
-regime takes the first model found under any weighting, and
-check_forall_weights_invalidity, rung by rung, asks for a model under every
-weighting. A budget (ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables)
-raises BudgetExceeded in a rung; _budgeted alone catches it, for _find and
-for the rungs of check_forall_weights_invalidity. With the base rung cut, or
+are nearest under every weighting, then each weighting on the base rung.
+_ladder is the one loop over rungs. One helper, _weighted, runs both weighted
+decisions: it searches the forced rungs before any weighting is enumerated,
+then rung by rung the power-set frame once per weighting of the rung's
+universe. The weighted regime searches the base rung for the first model
+under any weighting, and check_forall_weights_invalidity every rung for a
+model under every weighting. A budget (ORACLE_WORLD_CAP worlds,
+models.MAX_UNIVERSE variables) raises BudgetExceeded in a rung; _budgeted
+alone catches it, for _ladder and the basic search. With the base rung cut, or
 in basic, whose frames stop at max_worlds with no small-model bound known,
 no model means qualified-valid to check and unknown to satisfiable. The only
 option of a decision is strict_def7, the reading of P the goal is built
@@ -753,25 +755,6 @@ def find_countermodel_delta(goal, extra_vars=0, admissible=admissible_delta):
                           "delta")
 
 
-def _per_weighting(goal, universe, weightings, every=False):
-    """Search the power-set frame of the universe once per weighting, with
-    the weighting's nearest picks. Returns the first (model, world) found,
-    or with every=True that of the first weighting when every weighting has
-    one, else None."""
-    vals = _powerset(universe)
-    first = None
-    for weighting in weightings:
-        found = _search_worlds(universe, vals, goal,
-                               admissible_weighted(weighting), "delta",
-                               weighting)
-        if found and not every:
-            return found
-        if every and not found:
-            return None
-        first = first or found
-    return first
-
-
 # --- The retry ladder --------------------------------------------------------
 
 def _budgeted(search, *args):
@@ -782,14 +765,14 @@ def _budgeted(search, *args):
         return None, False
 
 
-def _delta_ladder(goal, base_extra, admissible):
-    """Search the delta rungs of the retry ladder in order. Returns the first
-    (model, world) found or None, and the extra-variable counts of the rungs
-    searched to the end."""
+def _ladder(search, base, rungs=LADDER_RUNGS):
+    """Search rungs rungs of the retry ladder in order from base,
+    search(extra) searching the rung with extra fresh variables. Returns the
+    first (model, world) found or None, and the extra-variable counts of the
+    rungs searched to the end."""
     searched = []
-    for extra in range(base_extra, base_extra + LADDER_RUNGS):
-        found, done = _budgeted(find_countermodel_delta, goal, extra,
-                                admissible)
+    for extra in range(base, base + rungs):
+        found, done = _budgeted(search, extra)
         if done:
             searched.append(extra)
         if found:
@@ -802,19 +785,60 @@ class _Search(NamedTuple):
     fingerprint: dict       # the bounds searched
     fields: dict            # strategy, weight_robust, weighting of the model
     complete: bool          # whether the base rung was searched to the end
-    bounded: bool = False   # a complete search proves only its bound
-    # the note of a verdict whose base rung a budget cut
-    cut_note: str = "budget exceeded before the base search"
+    bounded: bool = False   # finding no model proves only the bound searched
+    # the detail of a verdict of kind cut
+    cut_note: str | None = "budget exceeded before the base search"
 
     def verdict(self, found, none, cut) -> Verdict:
-        """A verdict of kind found if a model was found, else of kind cut if
-        a budget cut the base rung or the search proves only its bound, else
-        of kind none."""
+        """A verdict of kind found if a model was found, else of kind cut,
+        with cut_note, if a budget cut the base rung or the search proves
+        only its bound, else of kind none."""
         if self.found:
             return Verdict(found, self.fingerprint, *self.found, **self.fields)
-        if not self.complete:
-            return Verdict(cut, self.fingerprint, detail=self.cut_note)
-        return Verdict(cut if self.bounded else none, self.fingerprint)
+        if self.complete and not self.bounded:
+            return Verdict(none, self.fingerprint)
+        return Verdict(cut, self.fingerprint, detail=self.cut_note)
+
+
+def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
+    """Search the forced ladder from base; only if it has no model, search
+    the first rungs rungs from base once per weighting of the class on the
+    grid over the rung's universe (the goal's and the class's variables and
+    the fresh ones), with that weighting's nearest picks. A rung's model is
+    the first found under any weighting, or with every=True that of its
+    first weighting when every weighting has one."""
+    # a forced-pick model satisfies the goal under every weighting
+    found, _ = _ladder(
+        lambda extra: find_countermodel_delta(goal, extra, admissible_forced),
+        base)
+    if found:
+        return _Search(found, fingerprint,
+                       {"weight_robust": True, "strategy": "forced"}, True)
+
+    def per_weighting(extra):
+        universe = _delta_universe(
+            set(goal.variables) | weight_class.variables(), extra)
+        weightings = enumerate_weight_orders(universe, weight_class, grid)
+        if not weightings:
+            raise ValueError("weight class unsatisfiable on the grid")
+        fingerprint["weightings"] = len(weightings)
+        vals = _powerset(universe)
+        first = None
+        for weighting in weightings:
+            found = _search_worlds(universe, vals, goal,
+                                   admissible_weighted(weighting), "delta",
+                                   weighting)
+            if found and not every:
+                return found
+            if every and not found:
+                return None
+            first = first or found
+        return first
+
+    found, searched = _ladder(per_weighting, base, rungs)
+    fields = {"weight_robust": False, "weighting": found[0].weights,
+              "strategy": "per-weighting"} if found else {}
+    return _Search(found, fingerprint, fields, base in searched)
 
 
 def _find(goal, regime) -> _Search:
@@ -829,40 +853,24 @@ def _find(goal, regime) -> _Search:
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
                        {}, complete, bounded=True,
-                       cut_note=f"frames of up to {ORACLE_WORLD_CAP} worlds "
-                                f"searched; the oracle cap of "
-                                f"{ORACLE_WORLD_CAP} worlds cut the larger "
-                                f"frames")
+                       cut_note=None if complete else
+                       f"frames of up to {ORACLE_WORLD_CAP} worlds searched; "
+                       f"the oracle cap of {ORACLE_WORLD_CAP} worlds cut the "
+                       f"larger frames")
     if isinstance(regime, DeltaRegime):
         base = regime.extra_variables
-        found, searched = _delta_ladder(goal, base, admissible_delta)
+        found, searched = _ladder(
+            lambda extra: find_countermodel_delta(goal, extra), base)
         return _Search(found, {"regime": "delta", "extra_vars": base,
                                "extras_searched": searched},
                        {}, base in searched)
     if not isinstance(regime, WeightedRegime):
         raise TypeError(f"unknown regime {regime!r}")
-    fingerprint = {"regime": "weighted", "class": str(regime.weight_class),
-                   "grid": list(regime.grid),
-                   "extra_vars": regime.extra_variables}
-    universe, complete = _budgeted(
-        _delta_universe, set(goal.variables) | regime.weight_class.variables(),
-        regime.extra_variables)
-    if not complete:
-        return _Search(None, fingerprint, {}, False)
-    weightings = enumerate_weight_orders(universe, regime.weight_class,
-                                         regime.grid)
-    if not weightings:
-        raise ValueError("weight class unsatisfiable on the grid")
-    fingerprint["weightings"] = len(weightings)
-    # a forced-pick model satisfies the goal under every weighting
-    found, _ = _delta_ladder(goal, regime.extra_variables, admissible_forced)
-    if found:
-        return _Search(found, fingerprint,
-                       {"weight_robust": True, "strategy": "forced"}, True)
-    found, complete = _budgeted(_per_weighting, goal, universe, weightings)
-    fields = {"weight_robust": False, "weighting": found[0].weights,
-              "strategy": "per-weighting"} if found else {}
-    return _Search(found, fingerprint, fields, complete)
+    return _weighted(goal, regime.weight_class, regime.grid,
+                     regime.extra_variables,
+                     {"regime": "weighted", "class": str(regime.weight_class),
+                      "grid": list(regime.grid),
+                      "extra_vars": regime.extra_variables}, 1, every=False)
 
 
 # --- Verdict-producing operations --------------------------------------------
@@ -890,24 +898,13 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
     retry ladder, one countermodel per weight-order representative of that
     rung's universe."""
     grid = DEFAULT_GRID if grid is None else check_grid(grid)
-    goal = Goal(sequent.goal(strict_def7))
-    found, _ = _delta_ladder(goal, extra_vars, admissible_forced)
-    fingerprint = {"regime": "forall-weights", "grid": list(grid),
-                   "extra_vars": extra_vars}
-    if found:
-        return Verdict("invalid", fingerprint, *found, weight_robust=True,
-                       strategy="forced")
-    for extra in range(extra_vars, extra_vars + LADDER_RUNGS):
-        universe, fits = _budgeted(_delta_universe, goal.variables, extra)
-        if not fits:
-            continue
-        weightings = enumerate_weight_orders(universe, WeightClass(), grid)
-        fingerprint["weightings"] = len(weightings)
-        found, _ = _budgeted(_per_weighting, goal, universe, weightings, True)
-        if found:
-            return Verdict("invalid", fingerprint, *found,
-                           weight_robust=False, weighting=found[0].weights,
-                           strategy="per-weighting")
-    return Verdict("unknown", fingerprint,
-                   detail="no rung of the ladder has a countermodel for "
-                          "every weighting")
+    search = _weighted(Goal(sequent.goal(strict_def7)), WeightClass(), grid,
+                       extra_vars, {"regime": "forall-weights",
+                                    "grid": list(grid),
+                                    "extra_vars": extra_vars},
+                       LADDER_RUNGS, every=True)
+    # finding no rung with a model under every weighting proves nothing
+    return search._replace(
+        bounded=True, cut_note="no rung of the ladder has a countermodel for "
+                               "every weighting").verdict(
+        "invalid", "unknown", "unknown")

@@ -121,6 +121,9 @@ class WeightedRegime:
     def __post_init__(self):
         check_grid(self.grid)
         _check_extra_variables(self.extra_variables)
+        if not self.weight_class.is_satisfiable():
+            raise ValueError(f"weight class {self.weight_class} is cyclic: "
+                             f"no weighting satisfies it")
 
 
 def check_weighting(weighting, universe):

@@ -9,9 +9,9 @@ walk reads it: the queries below, the printer, schema matching in proofs and
 goal compilation in engine. Desugaring shares operands, so a core formula is
 a DAG that may stand for an exponentially larger tree: fold() and
 surface_variables visit each distinct node object once, iteratively, so the
-queries take time linear in the DAG. _height, the depth check of every
-parse, keeps no memo (parser output is a tree) but is iterative too: the
-parser builds a left-deep chain such as p & p & ... without recursing.
+queries take time linear in the DAG. The parser checks the height of each
+node it builds, so a left-deep chain such as p & p & ..., which it builds
+without recursing, is refused at the operator that makes it too deep.
 
 Concrete syntax has one table per operator kind: _BIN (each binary class,
 its text and precedence level), _PREFIX and _CONSTANTS. The lexer's lexemes,
@@ -302,6 +302,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # id of each node built -> its height; leaves are of height 1
+        self.heights = {}
 
     def nested(self, parse, *args):
         """Parse one level deeper, refusing input nested beyond MAX_DEPTH."""
@@ -311,6 +313,20 @@ class _Parser:
                              self.peek()[2])
         f = parse(*args)
         self.depth -= 1
+        return f
+
+    def build(self, cls, offset, *operands):
+        """cls(*operands), its operator being at offset, refusing a node of
+        height over MAX_DEPTH: chains of left-associative operators deepen
+        the tree without nesting the parser."""
+        get = self.heights.get
+        # every node has one operand or two
+        height = 1 + max(get(id(operands[0]), 1), get(id(operands[-1]), 1))
+        if height > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             offset)
+        f = cls(*operands)
+        self.heights[id(f)] = height
         return f
 
     def peek(self):
@@ -344,12 +360,14 @@ class _Parser:
             op = _BINARY_OPS.get(self.peek()[0])
             if op is None or op[1] < level:
                 return left
-            self.advance()
+            offset = self.advance()[2]
             cls, op_level = op
             if op_level == _P_IMP:  # right-associative
-                left = cls(left, self.nested(self.parse_binary, _P_IMP))
+                left = self.build(cls, offset, left,
+                                  self.nested(self.parse_binary, _P_IMP))
                 continue
-            left = cls(left, self.parse_binary(op_level + 1))
+            left = self.build(cls, offset, left,
+                              self.parse_binary(op_level + 1))
             nxt = self.peek()
             # the right operand took every tighter operator, so only another
             # preference operator can follow it here
@@ -362,8 +380,8 @@ class _Parser:
         cls = _PREFIX_OPS.get(self.peek()[0])
         if cls is None:
             return self.parse_atom()
-        self.advance()
-        return cls(self.nested(self.parse_unary))
+        offset = self.advance()[2]
+        return self.build(cls, offset, self.nested(self.parse_unary))
 
     def parse_atom(self):
         tok = self.peek()
@@ -380,7 +398,7 @@ class _Parser:
             self.expect(",")
             second = self.nested(self.parse_binary, _P_PREF)
             self.expect(")")
-            return CondOblig(first, second)
+            return self.build(CondOblig, tok[2], first, second)
         if tok[0] == "(":
             self.advance()
             f = self.nested(self.parse_binary, _P_PREF)
@@ -397,12 +415,7 @@ def parse(text: str) -> Formula:
     Raises ParseError (with byte offset and expected-token set) on bad input,
     including formulas deeper than MAX_DEPTH.
     """
-    f = _Parser(text).parse()
-    if _height(f) > MAX_DEPTH:
-        # chains of left-associative operators deepen the tree without
-        # nesting the parser
-        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
-    return f
+    return _Parser(text).parse()
 
 
 # --- Printing ----------------------------------------------------------------
@@ -480,21 +493,6 @@ def surface_variables(f: Formula) -> set[str]:
                 seen.add(id(h))
                 stack.append(h)
     return out
-
-
-def _height(f: Formula) -> int:
-    """Number of nodes on the longest root-to-leaf path of a parsed formula,
-    which is a tree: nodes are not memoised."""
-    best = 0
-    stack = [(f, 1)]
-    while stack:
-        g, level = stack.pop()
-        if level > best:
-            best = level
-        level += 1
-        for name in _OPERANDS[type(g)]:
-            stack.append((getattr(g, name), level))
-    return best
 
 
 def top_variable(*formulas: Formula) -> str:

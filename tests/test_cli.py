@@ -251,6 +251,14 @@ class TestCheckCommand:
                     "--class", "p>")
         assert r.returncode == 3
 
+    def test_cyclic_class(self):
+        # no weighting satisfies it, so it is refused before any search
+        r = run_cli("check", "O(p & q) |- O q", "--regime", "weighted",
+                    "--class", "p>q,q>p")
+        assert r.returncode == 3
+        assert "cyclic" in r.stderr
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("grid", ["0..2", "3..1", "-1,2"])
     def test_bad_grid(self, grid):
         r = run_cli("check", "O p |- O(p & q) | O(p & ~q)", "--regime",

@@ -11,7 +11,7 @@ from deolog import engine
 from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
                            desugar, modal_depth, parse, variables)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
-                           make_worlds, powerset_worlds)
+                           make_worlds, powerset_worlds, validate_model)
 from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
                            solve_order_constraints)
 from deolog import regimes
@@ -179,11 +179,38 @@ class TestForallWeights:
             assert pick in p_nearest(m.weights, w, prop)
         assert _refutes(v, text)
 
+    def test_unknown_keeps_its_note(self):
+        # 8 worlds exceed the oracle cap on every rung
+        v = check_forall_weights_invalidity(
+            Sequent.parse("O O p ; q & r |- O p"))
+        assert v.kind == "unknown" and v.countermodel is None
+        assert v.detail == ("no rung of the ladder has a countermodel for "
+                            "every weighting")
+
     @pytest.mark.parametrize("grid", [(), (0, 1, 2), (-1, 1)])
     def test_grid_must_be_positive(self, grid):
         with pytest.raises(ValueError):
             check_forall_weights_invalidity(Sequent.parse("O p |- O q"),
                                             grid=grid)
+
+
+class TestWeightedSearch:
+    def test_forced_settled_checks_enumerate_no_weighting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weighting was enumerated")
+        monkeypatch.setattr(engine, "enumerate_weight_orders", refuse)
+        v = check(Sequent.parse("O (p & q & r & s & t) |- O p"),
+                  WeightedRegime())
+        assert (v.kind, v.strategy) == ("invalid", "forced")
+        assert "weightings" not in v.fingerprint
+
+    def test_class_off_the_grid_needs_no_weighting_for_a_forced_model(self):
+        # p>q is satisfiable, but not by a weighting on the grid (1,)
+        regime = WeightedRegime(WeightClass.parse("p>q"), (1,))
+        v = check(Sequent.parse("O(p & q) |- O q"), regime)
+        assert (v.kind, v.strategy) == ("invalid", "forced")
+        with pytest.raises(ValueError, match="unsatisfiable on the grid"):
+            check(Sequent.parse("p ; q |- O(p & q)"), regime)
 
 
 class TestSatisfiable:
@@ -275,6 +302,31 @@ def test_invalid_exactly_when_goal_satisfiable(premises, conclusion, regime):
     sat = satisfiable(premises + [Not(conclusion)], regime)
     assert (checked.kind == "invalid") == (sat.kind == "sat")
     assert checked.fingerprint == sat.fingerprint
+
+
+# random goals are rarely refuted only per weighting: the two examples are
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(premises=st.lists(_depth2(("p", "q")), max_size=2),
+       conclusion=_depth2(("p", "q")))
+@example(premises=[parse("O p")], conclusion=parse("O(p & q) | O(p & ~q)"))
+@example(premises=[parse("p"), parse("q")], conclusion=parse("O(p & q)"))
+def test_weighted_models_pass_their_certificate(premises, conclusion):
+    sequent = Sequent(tuple(premises), conclusion)
+    for v in (check(sequent, WeightedRegime()),
+              check(sequent, WeightedRegime(WeightClass.parse("q>p"))),
+              check_forall_weights_invalidity(sequent)):
+        m = v.countermodel
+        if m is None:
+            continue
+        assert validate_model(m) == []
+        assert holds_at(m, sequent.goal(), v.witness)
+        assert v.weighting == m.weights
+        for (w, prop), pick in m.selection.items():
+            if v.strategy == "forced":
+                assert pick == forced_choice(w, prop)
+            else:
+                assert v.strategy == "per-weighting"
+                assert pick in p_nearest(m.weights, w, prop)
 
 
 class TestGoal:

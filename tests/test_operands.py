@@ -48,21 +48,6 @@ def ref_surface_variables(f):
     return out
 
 
-def ref_height(f):
-    best = 0
-    stack = [(f, 1)]
-    while stack:
-        g, level = stack.pop()
-        best = max(best, level)
-        if isinstance(g, (Not, Box, Diamond, Oblig, Perm)):
-            stack.append((g.child, level + 1))
-        elif isinstance(g, CondOblig):
-            stack.extend(((g.condition, level + 1), (g.duty, level + 1)))
-        elif not isinstance(g, (Var, Top, Bot)):
-            stack.extend(((g.left, level + 1), (g.right, level + 1)))
-    return best
-
-
 def ref_modal_depth(f):
     if isinstance(f, Var):
         return 0
@@ -197,7 +182,6 @@ FORMULAS = st.recursive(_LEAVES, _extend, max_leaves=10)
 @given(FORMULAS)
 def test_walks_agree_with_the_per_class_walkers(f):
     core = desugar(f)
-    assert syntax._height(f) == ref_height(f)
     for g in (f, core):
         assert surface_variables(g) == ref_surface_variables(g)
         assert is_core(g) == ref_is_core(g)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from deolog.models import Model, World, powerset_worlds, validate_model
-from deolog.regimes import (DEFAULT_GRID, WeightClass, delta_minimal,
-                            enumerate_weight_orders, forced_choice,
-                            p_nearest, subset_sums, weighted_distance)
+from deolog.regimes import (DEFAULT_GRID, WeightClass, WeightedRegime,
+                            delta_minimal, enumerate_weight_orders,
+                            forced_choice, p_nearest, subset_sums,
+                            weighted_distance)
 
 
 def _worlds(universe):
@@ -151,6 +152,11 @@ class TestWeightClass:
         wc = WeightClass.parse("p>q,q>p")
         assert not wc.is_satisfiable()
         assert enumerate_weight_orders(("p", "q"), wc, (1, 2, 3)) == []
+
+    @pytest.mark.parametrize("text", ["p>p", "p>q,q>p", "p>q,q>r,r>p"])
+    def test_weighted_regime_rejects_a_cyclic_class(self, text):
+        with pytest.raises(ValueError, match="cyclic"):
+            WeightedRegime(WeightClass.parse(text))
 
     def test_admits(self):
         wc = WeightClass.parse("q>p")

@@ -46,6 +46,19 @@ class TestParse:
         with pytest.raises(ParseError, match="nested deeper"):
             parse(text)
 
+    @pytest.mark.parametrize("text, offset", [
+        # the root of a 65-level chain is its last operator
+        (" & ".join(["p"] * (MAX_DEPTH + 1)), 4 * MAX_DEPTH - 2),
+        ("q | " + " & ".join(["p"] * (MAX_DEPTH + 1)), 4 * MAX_DEPTH + 2),
+        ("~ " * MAX_DEPTH + "p", 0),
+        ("p -> " * MAX_DEPTH + "p", 2),
+    ])
+    def test_too_deep_at_the_operator_of_the_first_node_too_high(self, text,
+                                                                 offset):
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
     def test_max_depth_accepted(self):
         f = parse("~ " * (MAX_DEPTH - 1) + "p")
         assert pretty(desugar(f)).count("~") == MAX_DEPTH - 1
