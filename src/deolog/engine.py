@@ -15,13 +15,26 @@ decisions: it searches the forced rungs before any weighting is enumerated,
 then rung by rung the power-set frame once per weighting of the rung's
 universe. The weighted regime searches the base rung for the first model
 under any weighting, and check_forall_weights_invalidity every rung for a
-model under every weighting. A budget (ORACLE_WORLD_CAP worlds,
-models.MAX_UNIVERSE variables) raises BudgetExceeded in a rung; _budgeted
-alone catches it, for _ladder and the basic search. With the base rung cut, or
-in basic, whose frames stop at max_worlds with no small-model bound known,
-no model means qualified-valid to check and unknown to satisfiable. The only
-option of a decision is strict_def7, the reading of P the goal is built
-with.
+model under every weighting; both fingerprints, like delta's, name the rungs
+searched to the end, with the number of weightings of each. A budget
+(ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables) raises
+BudgetExceeded in a rung; _budgeted alone catches it, for _ladder and the
+basic search. With the base rung cut, or in basic, whose frames stop at
+max_worlds with no small-model bound known, no model means qualified-valid to
+check and unknown to satisfiable. The only option of a decision is
+strict_def7, the reading of P the goal is built with.
+
+At modal depth <= 1 the ladder is one rung, the base rung, in every regime.
+Every cell of such a goal is a Boolean combination of the goal's variables,
+so a world's fresh variables never move it into or out of a cell. A delta,
+forced or nearest pick at the witness x agrees with x on every fresh
+variable: flipping one back keeps the pick in its cell and strictly shrinks
+its difference from x, or its weight. So a model on an upper rung projects
+onto the goal's variables (the utility of a valuation being that of its
+extension by x's fresh part, the picks at x projected) as a model on the
+base rung in which every atom has the same value at x, and the upper rungs
+hold no model the base rung lacks. A depth <= 1 delta valid therefore holds
+over every universe, not only up to two fresh variables.
 
 Two backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
@@ -57,7 +70,9 @@ and searches only the first of each orbit: it skips an order when an
 earlier one gave the worlds of each valuation the same multiset of ranks,
 single worlds included. A model at any member of an orbit, or at any row of
 a valuation, maps to one at the first, which is searched earlier, so the
-first model found is the one a search of every case would find.
+first model found is the one a search of every case would find. Those orbit
+orders depend only on which worlds share a valuation, the frame's _pattern,
+so Goal.orbits builds them once per pattern and decision.
 
 At depth <= 1, what the rank solver reads off a frame before its pick walk
 depends only on the frame's set of valuations: the operands (one denotation
@@ -114,8 +129,8 @@ from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
 from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
-                      WeightedRegime, _bits, admissible_basic,
-                      admissible_delta, admissible_forced,
+                      WeightedRegime, _bits, _check_extra_variables,
+                      admissible_basic, admissible_delta, admissible_forced,
                       admissible_weighted, check_grid,
                       enumerate_weight_orders)
 # unused in the search; benchmarks/tracer.py counts calls by these names
@@ -123,8 +138,8 @@ from .regimes import delta_minimal, forced_choice, p_nearest  # noqa: F401
 
 # the most worlds the weak-order oracle enumerates orders on
 ORACLE_WORLD_CAP = 6
-# rungs of the retry ladder: the base rung, then one and two more fresh
-# variables
+# rungs of the retry ladder at modal depth >= 2: the base rung, then one and
+# two more fresh variables
 LADDER_RUNGS = 3
 
 
@@ -283,6 +298,9 @@ class Goal:
         # basic frame's set of valuations -> whether some frame over it can
         # hold a model, filled by find_countermodel_basic
         self.basic_sets = {}
+        # a frame's _pattern -> the rank lists of _orbit_orders over it,
+        # filled by the oracle
+        self.orbits = {}
 
     @classmethod
     def of(cls, goal) -> "Goal":
@@ -687,7 +705,11 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
 
         return per_world(0, 0)
 
-    for rank in _orbit_orders(vals):
+    shape = _pattern(vals)
+    orders = goal.orbits.get(shape)
+    if orders is None:
+        orders = goal.orbits[shape] = list(_orbit_orders(shape))
+    for rank in orders:
         found = assign_atom(0, rank, {})
         if found:
             return found
@@ -765,13 +787,14 @@ def _budgeted(search, *args):
         return None, False
 
 
-def _ladder(search, base, rungs=LADDER_RUNGS):
-    """Search rungs rungs of the retry ladder in order from base,
-    search(extra) searching the rung with extra fresh variables. Returns the
-    first (model, world) found or None, and the extra-variable counts of the
-    rungs searched to the end."""
+def _ladder(search, goal, base, rungs=LADDER_RUNGS):
+    """Search rungs rungs of the goal's retry ladder in order from base,
+    search(extra) searching the rung with extra fresh variables; at modal
+    depth <= 1 only the base rung, since no upper rung has a model the base
+    rung lacks. Returns the first (model, world) found or None, and the
+    extra-variable counts of the rungs searched to the end."""
     searched = []
-    for extra in range(base, base + rungs):
+    for extra in range(base, base + (1 if goal.depth <= 1 else rungs)):
         found, done = _budgeted(search, extra)
         if done:
             searched.append(extra)
@@ -806,14 +829,18 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
     grid over the rung's universe (the goal's and the class's variables and
     the fresh ones), with that weighting's nearest picks. A rung's model is
     the first found under any weighting, or with every=True that of its
-    first weighting when every weighting has one."""
+    first weighting when every weighting has one. The fingerprint then gains
+    the rungs searched to the end and the number of weightings of each."""
     # a forced-pick model satisfies the goal under every weighting
     found, _ = _ladder(
         lambda extra: find_countermodel_delta(goal, extra, admissible_forced),
-        base)
+        goal, base)
     if found:
         return _Search(found, fingerprint,
                        {"weight_robust": True, "strategy": "forced"}, True)
+
+    # extra -> the number of weightings of that rung's universe
+    counts = {}
 
     def per_weighting(extra):
         universe = _delta_universe(
@@ -821,7 +848,7 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
         weightings = enumerate_weight_orders(universe, weight_class, grid)
         if not weightings:
             raise ValueError("weight class unsatisfiable on the grid")
-        fingerprint["weightings"] = len(weightings)
+        counts[extra] = len(weightings)
         vals = _powerset(universe)
         first = None
         for weighting in weightings:
@@ -835,7 +862,9 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
             first = first or found
         return first
 
-    found, searched = _ladder(per_weighting, base, rungs)
+    found, searched = _ladder(per_weighting, goal, base, rungs)
+    fingerprint["extras_searched"] = searched
+    fingerprint["weightings"] = [counts[extra] for extra in searched]
     fields = {"weight_robust": False, "weighting": found[0].weights,
               "strategy": "per-weighting"} if found else {}
     return _Search(found, fingerprint, fields, base in searched)
@@ -860,7 +889,7 @@ def _find(goal, regime) -> _Search:
     if isinstance(regime, DeltaRegime):
         base = regime.extra_variables
         found, searched = _ladder(
-            lambda extra: find_countermodel_delta(goal, extra), base)
+            lambda extra: find_countermodel_delta(goal, extra), goal, base)
         return _Search(found, {"regime": "delta", "extra_vars": base,
                                "extras_searched": searched},
                        {}, base in searched)
@@ -897,6 +926,7 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
     single forced-pick countermodel, then (fallback) rung by rung of the
     retry ladder, one countermodel per weight-order representative of that
     rung's universe."""
+    _check_extra_variables(extra_vars)
     grid = DEFAULT_GRID if grid is None else check_grid(grid)
     search = _weighted(Goal(sequent.goal(strict_def7)), WeightClass(), grid,
                        extra_vars, {"regime": "forall-weights",

@@ -11,7 +11,8 @@ from deolog import engine
 from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
                            desugar, modal_depth, parse, variables)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
-                           make_worlds, powerset_worlds, validate_model)
+                           make_worlds, powerset_worlds, validate_model,
+                           world_from_members)
 from deolog.orders import (ComparisonAtom, bruteforce_weak_orders,
                            solve_order_constraints)
 from deolog import regimes
@@ -186,6 +187,29 @@ class TestForallWeights:
         assert v.kind == "unknown" and v.countermodel is None
         assert v.detail == ("no rung of the ladder has a countermodel for "
                             "every weighting")
+
+    def test_extra_vars_must_not_be_negative(self):
+        # rung -1 used to be searched as the same universe as rung 0
+        with pytest.raises(ValueError, match="at least 0"):
+            check_forall_weights_invalidity(
+                Sequent.parse("O p |- O(p & q) | O(p & ~q)"), extra_vars=-1)
+
+    @pytest.mark.parametrize("text, grid, searched, weightings", [
+        # depth 1: the base rung alone, not the 71 weightings of the last
+        # rung searched
+        ("O p |- O(p & q) | O(p & ~q)", (1, 2, 3), [0], [3]),
+        # depth 2: the oracle cap cuts rungs 1 and 2, whose 1 375
+        # weightings of rung 2 were reported
+        ("O O (p & q) |- O (p & q)", None, [0], [3]),
+        # 8 worlds exceed the oracle cap on every rung
+        ("O O p ; q & r |- O p", None, [], []),
+    ])
+    def test_fingerprint_counts_the_rungs_searched(self, text, grid, searched,
+                                                   weightings):
+        v = check_forall_weights_invalidity(Sequent.parse(text), grid=grid)
+        assert v.kind == "unknown"
+        assert v.fingerprint["extras_searched"] == searched
+        assert v.fingerprint["weightings"] == weightings
 
     @pytest.mark.parametrize("grid", [(), (0, 1, 2), (-1, 1)])
     def test_grid_must_be_positive(self, grid):
@@ -598,14 +622,16 @@ def test_symmetric_search_matches_every_row_and_order(formula, frame):
     # the oracle searches goals of any depth, in time growing with the atoms
     if len(goal.atoms) <= 4:
         found = _oracle_search(*args)
+        # a fresh Goal, since the first one holds the frame's orbit orders
         with mock.patch.object(engine, "_orbit_orders", _every_order):
-            assert found == _oracle_search(*args)
+            assert found == _oracle_search(PQ, tuple(frame), Goal(formula),
+                                           admissible_basic, "basic")
 
 
 def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
     path = pathlib.Path(deolog.__file__).parent / "derivations" / "t-pref.json"
     theorem = check_derivation(load_derivation(str(path))).theorem
-    generated, searched, built = [], [], []
+    generated, kept, built, frames = [], [], [], []
 
     def counted(wrapped, into):
         def orders(items):
@@ -618,13 +644,26 @@ def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
         built.append(args)
         return make_worlds(*args)
 
+    def recorded_search(universe, vals, goal, *args):
+        frames.append((vals, goal))
+        return oracle_search(universe, vals, goal, *args)
+
+    oracle_search = engine._oracle_search
     monkeypatch.setattr(engine, "bruteforce_weak_orders",
                         counted(engine.bruteforce_weak_orders, generated))
     monkeypatch.setattr(engine, "_orbit_orders",
-                        counted(engine._orbit_orders, searched))
+                        counted(engine._orbit_orders, kept))
     monkeypatch.setattr(engine, "make_worlds", counted_worlds)
+    monkeypatch.setattr(engine, "_oracle_search", recorded_search)
     assert check(Sequent((), theorem), BASIC4).kind == "qualified-valid"
-    assert (len(searched), len(generated)) == (1225, 2919)
+    # every frame is refuted, so the oracle searches each order of its
+    # shape: one order per orbit, 1 225 in all, where every weak order of
+    # every frame would be 2 919
+    assert sum(len(goal.orbits[_pattern(vals)])
+               for vals, goal in frames) == 1225
+    # the orders of each frame shape are built once per decision: building
+    # them once per frame made 2 919 orders and kept 1 225
+    assert (len(kept), len(generated)) == (320, 659)
     # the oracle searches world indices and refutes every frame, so it
     # builds no worlds: building each frame's worlds made 69 calls
     assert built == []
@@ -666,6 +705,39 @@ def test_orbit_orders_match_the_world_keyed_orbits():
         assert list(_orbit_orders(vals)) == [
             [utility[w] for w in worlds]
             for utility in _world_orbit_orders(worlds)], vals
+
+
+def test_orbit_orders_depend_only_on_the_frame_pattern():
+    # Goal.orbits keys a frame's orbit orders by its _pattern. The frames of
+    # up to five worlds over the four valuations of {p, q}, in any world
+    # order, have 74 of the 75 patterns of up to five worlds; the last, five
+    # distinct valuations, keeps every weak order, as any frame of distinct
+    # valuations does.
+    frames = [vals for count in range(1, 6)
+              for vals in itertools.product(VALUATIONS, repeat=count)]
+    assert len(frames) == 1364
+    by_pattern = {}
+    for vals in frames:
+        pattern = _pattern(vals)
+        if pattern not in by_pattern:
+            by_pattern[pattern] = list(_orbit_orders(pattern))
+        assert list(_orbit_orders(vals)) == by_pattern[pattern], vals
+    assert len(by_pattern) == 74
+    distinct = tuple(range(5))
+    assert list(_orbit_orders(distinct)) == list(_every_order(distinct))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(formula=_core_formulas(PQ))
+def test_one_goal_searches_each_frame_as_a_fresh_goal_does(formula):
+    # Goal.orbits outlives a frame: frames of other shapes must not share
+    # their orders
+    goal = Goal(formula)
+    if len(goal.atoms) > 4:
+        return
+    for vals in BASIC_FRAMES:
+        assert _oracle_search(PQ, vals, goal, admissible_basic, "basic") == \
+            _oracle_search(PQ, vals, Goal(formula), admissible_basic, "basic")
 
 
 def test_solver_searches_one_row_per_valuation():
@@ -961,3 +1033,73 @@ def test_qualified_valid_basic_check_builds_no_worlds(monkeypatch):
     assert verdict.kind == "qualified-valid"
     # no frame has a model, so none is built
     assert built == []
+
+
+# --- One ladder rung at modal depth <= 1 ---------------------------------------
+
+def _projected(model, witness, names):
+    """A delta model on an upper rung, over the goal's variables names plus
+    fresh ones, projected onto names at its witness: each world has the
+    utility of its extension by the witness's fresh variables, and each pick
+    at the witness, its cell and the witness lose their fresh variables.
+    Returns the model and the projected witness."""
+    fresh = witness.members - set(names)
+
+    def down(w):
+        return world_from_members(names, w.members & set(names))
+
+    worlds = powerset_worlds(names)
+    utility = {w: model.utility[world_from_members(model.universe,
+                                                   w.members | fresh)]
+               for w in worlds}
+    # a depth <= 1 model reads its cells only at the witness
+    assert all(w == witness for w, _ in model.selection)
+    selection = {(down(witness), frozenset(map(down, prop))): down(pick)
+                 for (_, prop), pick in model.selection.items()}
+    return Model(names, worlds, utility, selection, "delta"), down(witness)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formula=_depth1(PQ))
+def test_rung_one_adds_no_model_at_depth_one(formula):
+    goal = Goal(formula)
+    for admissible in (admissible_delta, admissible_forced):
+        base = find_countermodel_delta(goal, 0, admissible)
+        upper = find_countermodel_delta(goal, 1, admissible)
+        assert (base is None) == (upper is None)
+        if upper is None:
+            continue
+        model, witness = _projected(*upper, goal.variables)
+        assert validate_model(model) == []
+        assert holds_at(model, formula, witness)
+        if admissible is admissible_forced:
+            for (w, prop), pick in model.selection.items():
+                assert pick == forced_choice(w, prop)
+
+
+def test_depth_one_searches_the_base_rung_only(monkeypatch):
+    rungs = []
+
+    def recorded(goal, extra_vars=0, admissible=admissible_delta):
+        rungs.append(extra_vars)
+        return find_countermodel_delta(goal, extra_vars, admissible)
+
+    monkeypatch.setattr(engine, "find_countermodel_delta", recorded)
+    # the delta ladder, then the forced ladder of the weighted regime and of
+    # forall-weights, each finding no model
+    v = check(Sequent.parse("O p ; ~p > ~q |- O q"), DeltaRegime(1))
+    assert (v.kind, v.fingerprint["extras_searched"], rungs) == \
+        ("valid", [1], [1])
+    rungs.clear()
+    assert check(Sequent.parse("O p |- O(p & q) | O(p & ~q)"),
+                 WeightedRegime()).kind == "invalid"
+    assert rungs == [0]
+    rungs.clear()
+    v = check_forall_weights_invalidity(Sequent.parse("p ; q |- O(p & q)"))
+    assert (v.kind, v.fingerprint["extras_searched"], rungs) == \
+        ("invalid", [0], [0])
+    # depth 2 keeps three rungs: O O p |- O p falls on rung 1
+    rungs.clear()
+    v = check(Sequent.parse("O O p |- O p"), DELTA0)
+    assert (v.kind, v.fingerprint["extras_searched"], rungs) == \
+        ("invalid", [0, 1], [0, 1])
