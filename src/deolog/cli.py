@@ -16,7 +16,7 @@ from .syntax import ParseError, desugar, parse, pretty
 from .models import MissingSelectionError, denote, validate_model
 from .regimes import BasicRegime, DeltaRegime, WeightClass, WeightedRegime
 from .engine import Sequent, check, parse_formulas, satisfiable
-from . import documents
+from . import documents, regimes
 from .proofs import check_derivation, load_derivation
 from .suite import run_suite
 
@@ -75,10 +75,11 @@ def _regime_flags(p):
                    default="delta")
     p.add_argument("--class", dest="weight_class", default="",
                    help="weight constraints, e.g. 'q>p,q>r'")
-    p.add_argument("--grid", default="1..9",
+    p.add_argument("--grid", default=",".join(map(str, regimes.DEFAULT_GRID)),
                    help="weight grid: 'a..b' or comma list")
-    p.add_argument("--extra-vars", type=int, default=0)
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--extra-vars", type=int,
+                   default=DeltaRegime.extra_variables)
+    p.add_argument("--max-worlds", type=int, default=BasicRegime.max_worlds)
     p.add_argument("--strict-def7", action="store_true")
 
 

@@ -3,26 +3,27 @@ countermodel search.
 
 A sequent premises |- conclusion is refuted by a model and a witness world
 satisfying every premise but not the conclusion, so every decision reduces to
-bounded satisfiability of the goal formula premises & ~conclusion: check and
-satisfiable hand their goal to one search, _find, which tries the rungs of
-the regime's retry ladder in order and stops at the first model. The ladder
-of basic is its frames, up to max_worlds worlds; of delta, the goal's
-variables plus e, e+1 and e+2 fresh ones, e being the regime's extra
-variables (the base rung); of weighted, those rungs with forced picks, which
-are nearest under every weighting, then each weighting on the base rung.
-_ladder is the one loop over rungs. One helper, _weighted, runs both weighted
-decisions: it searches the forced rungs before any weighting is enumerated,
-then rung by rung the power-set frame once per weighting of the rung's
-universe. The weighted regime searches the base rung for the first model
-under any weighting, and check_forall_weights_invalidity every rung for a
-model under every weighting; both fingerprints, like delta's, name the rungs
-searched to the end, with the number of weightings of each. A budget
-(ORACLE_WORLD_CAP worlds, models.MAX_UNIVERSE variables) raises
-BudgetExceeded in a rung; _budgeted alone catches it, for _ladder and the
-basic search. With the base rung cut, or in basic, whose frames stop at
-max_worlds with no small-model bound known, no model means qualified-valid to
-check and unknown to satisfiable. The only option of a decision is
-strict_def7, the reading of P the goal is built with.
+bounded satisfiability of the goal formula premises & ~conclusion, balanced
+with the first half of the conjuncts, rounded up, on the left, so that n
+conjuncts add at most ceil(log2(n)) levels to the tallest (_conjoin); check and
+satisfiable hand their goal to one search, _find, which tries the rungs of the
+regime's retry ladder in order and stops at the first model. The ladder of
+basic is its frames, up to max_worlds worlds; of delta, the goal's variables
+plus e, e+1 and e+2 fresh ones, e being the regime's extra variables (the base
+rung); of weighted, those rungs with forced picks, which are nearest under
+every weighting, then each weighting on the base rung. _ladder is the one loop
+over rungs. One helper, _weighted, runs both weighted decisions: it searches
+the forced rungs before any weighting is enumerated, then rung by rung the
+power-set frame once per weighting of the rung's universe. The weighted regime
+searches the base rung for the first model under any weighting, and
+check_forall_weights_invalidity every rung for a model under every weighting;
+both fingerprints, like delta's, name the rungs searched to the end, with the
+number of weightings of each. A budget (ORACLE_WORLD_CAP worlds,
+models.MAX_UNIVERSE variables) raises BudgetExceeded in a rung; _budgeted
+alone catches it, for _ladder and the basic search. With the base rung cut, or
+in basic, whose frames stop at max_worlds with no small-model bound known, no
+model means qualified-valid to check and unknown to satisfiable. The only
+option of a decision is strict_def7, the reading of P the goal is built with.
 
 At modal depth <= 1 the ladder is one rung, the base rung, in every regime.
 Every cell of such a goal is a Boolean combination of the goal's variables,
@@ -190,11 +191,16 @@ def _parse_at(text, start):
 
 
 def _conjoin(formulas, strict_def7) -> Formula:
-    """The core conjunction of the surface formulas, left-nested, with T and
-    F lowered over the same variable in all of them."""
+    """The core conjunction of the surface formulas, balanced, with T and F
+    lowered over the same variable in all of them."""
     top = top_variable(*formulas)
-    return functools.reduce(And, [desugar(f, top, strict_def7)
-                                  for f in formulas])
+
+    def balanced(fs):
+        if len(fs) == 1:
+            return fs[0]
+        half = (len(fs) + 1) // 2
+        return And(balanced(fs[:half]), balanced(fs[half:]))
+    return balanced([desugar(f, top, strict_def7) for f in formulas])
 
 
 @dataclass
@@ -582,14 +588,18 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
+def _check_oracle_cap(n):
+    if n > ORACLE_WORLD_CAP:
+        raise BudgetExceeded(
+            f"{n} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
+
+
 def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
     """Any-depth backend: enumerate weak orders on the worlds, then resolve
     preference atoms stratum by stratum (innermost operands first), branching
     over admissible picks for each selection cell as it arises."""
     n = len(vals)
-    if n > ORACLE_WORLD_CAP:
-        raise BudgetExceeded(
-            f"{n} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
+    _check_oracle_cap(n)
     full = (1 << n) - 1
     atoms = goal.atoms
     values = goal.slots(_variable_masks(universe, vals, goal.variables))
@@ -644,14 +654,14 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
             values[slot] = full if (left and left == right) else 0
             return assign_atom(i + 1, rank, selection)
         later = goal.later_cells[i]
+        # each world's picks; a cell an earlier atom read keeps its pick
+        options = [[(selection[cell],) if cell in selection else picks(*cell)
+                    for cell in ((j, left), (j, right))] for j in range(n)]
         if not later:
             # no later atom reads a cell, so the rest of the goal depends
             # only on this atom's mask: forced | S for a subset S of either
             forced = either = 0
-            for j in range(n):
-                lefts, rights = [
-                    (selection[cell],) if cell in selection else picks(*cell)
-                    for cell in ((j, left), (j, right))]
+            for j, (lefts, rights) in enumerate(options):
                 truths = {rank[xl] >= rank[xr]
                           for xl in lefts for xr in rights}
                 if not truths:
@@ -667,43 +677,39 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
                                          for sub in _submasks(either))
             if not holds:
                 return None
-
-        def per_world(j, members):
-            if j == n:
-                values[slot] = members
-                return assign_atom(i + 1, rank, selection)
-            picked = []
-            for cell in ((j, left), (j, right)):
-                if cell in selection:
-                    picked.append(((selection[cell],), False))
-                else:
-                    picked.append((picks(*cell), True))
-            (lefts, new_l), (rights, new_r) = picked
-            # equal-rank picks are interchangeable: dedupe branches by rank,
-            # or by truth value alone once no later atom can reuse a cell
-            seen = set()
+        # each world's branches (left pick, right pick, its bit if the atom
+        # holds). Equal-rank picks are interchangeable: dedupe them by rank,
+        # or by truth alone once no later atom can reuse a cell
+        branches = []
+        for j, (lefts, rights) in enumerate(options):
+            by_key = {}
             for xl in lefts:
                 for xr in rights:
                     ranks = (rank[xl], rank[xr])
-                    key = ranks if later else ranks[0] >= ranks[1]
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if new_l:
-                        selection[(j, left)] = xl
-                    if new_r:
-                        selection[(j, right)] = xr
-                    found = per_world(j + 1, members | (1 << j)
-                                      if ranks[0] >= ranks[1] else members)
-                    if new_l:
-                        del selection[(j, left)]
-                    if new_r:
-                        del selection[(j, right)]
-                    if found:
-                        return found
-            return None
-
-        return per_world(0, 0)
+                    truth = ranks[0] >= ranks[1]
+                    by_key.setdefault(ranks if later else truth,
+                                      (xl, xr, truth << j))
+            if not by_key:
+                return None
+            branches.append(list(by_key.values()))
+        # the worlds' branches in nested order, the last world's innermost,
+        # recursing once per atom rather than once per world
+        cells = [((j, left), (j, right)) for j in range(n)]
+        added = [cell for pair in cells for cell in pair
+                 if cell not in selection]
+        for combo in itertools.product(*branches):
+            members = 0
+            for (cell_l, cell_r), (xl, xr, bit) in zip(cells, combo):
+                selection[cell_l] = xl
+                selection[cell_r] = xr
+                members |= bit
+            values[slot] = members
+            found = assign_atom(i + 1, rank, selection)
+            if found:
+                return found
+        for cell in added:
+            del selection[cell]
+        return None
 
     shape = _pattern(vals)
     orders = goal.orbits.get(shape)
@@ -845,11 +851,13 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
     def per_weighting(extra):
         universe = _delta_universe(
             set(goal.variables) | weight_class.variables(), extra)
+        vals = _powerset(universe)
+        if goal.backend == "oracle":  # every weighting's search would be cut
+            _check_oracle_cap(len(vals))
         weightings = enumerate_weight_orders(universe, weight_class, grid)
         if not weightings:
             raise ValueError("weight class unsatisfiable on the grid")
         counts[extra] = len(weightings)
-        vals = _powerset(universe)
         first = None
         for weighting in weightings:
             found = _search_worlds(universe, vals, goal,

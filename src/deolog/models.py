@@ -154,10 +154,7 @@ class Evaluator:
             if isinstance(f, Not):
                 true |= todo & ~self._mask(f.child, todo)
             elif isinstance(f, And):
-                left = f.left
-                left = self._and_mask(left, todo) if isinstance(left, And) \
-                    else self._mask(left, todo)
-                true |= self._mask(f.right, left)
+                true |= self._mask(f.right, self._mask(f.left, todo))
             elif isinstance(f, PrefWeak):
                 a, b = self.denote(f.left), self.denote(f.right)
                 if a and a == b:
@@ -172,30 +169,6 @@ class Evaluator:
                 raise TypeError(f"not a core formula: {f!r}")
             self._memo[id(f)] = (f, asked | todo, true)
         return true & want
-
-    def _and_mask(self, f: And, want: int) -> int:
-        """_mask of an And that is the left operand of an And, walking its
-        left spine of Ands with a loop, so a left-nested conjunction of any
-        length (as a sequent's goal is) needs no recursion per conjunct.
-        Each spine node asks its left operand at the worlds it has not yet
-        evaluated, and is memoised as if it had recursed."""
-        spine = []      # (node, asked at, memo's asked, memo's true, todo)
-        node, ask = f, want
-        while True:
-            _, asked, true = self._memo.get(id(node), (node, 0, 0))
-            todo = ask & ~asked
-            spine.append((node, ask, asked, true, todo))
-            if not todo or not isinstance(node.left, And):
-                break
-            node, ask = node.left, todo
-        # the bottom node's left operand, when it is asked, is no And
-        left = self._mask(node.left, todo) if todo else 0
-        for node, ask, asked, true, todo in reversed(spine):
-            if todo:
-                true |= self._mask(node.right, left)
-                self._memo[id(node)] = (node, asked | todo, true)
-            left = true & ask
-        return left
 
     def holds_at(self, f: Formula, w: World) -> bool:
         return bool(self._mask(f, 1 << self._index[w]))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .documents import _typed
 from .engine import Goal, _assignment_masks
-from .syntax import (And, Bot, Box, Diamond, Formula, Iff, Implies, MetaVar,
-                     Not, Or, PrefWeak, Top, Var, children, desugar, fold,
-                     parse, pretty)
+from .syntax import (MAX_DEPTH, And, Bot, Box, Diamond, Formula, Iff, Implies,
+                     MetaVar, Not, Or, PrefWeak, Top, Var, children, desugar,
+                     fold, parse, pretty)
 
 
 _PHI, _PSI, _THETA = MetaVar("phi"), MetaVar("psi"), MetaVar("theta")
@@ -171,7 +171,7 @@ def load_derivation(path):
 
 def check_derivation(steps) -> CheckResult:
     """Verify a derivation line by line; on success the theorem is the last
-    line's formula."""
+    line's formula. A nec line over MAX_DEPTH levels raises ValueError."""
     derived = []
     for n, step in enumerate(steps, start=1):
         def fail(reason):
@@ -195,7 +195,11 @@ def check_derivation(steps) -> CheckResult:
                     f"line {step.refs[0]}")
             derived.append(imp.right)
         elif step.kind == "nec":
-            derived.append(Box(derived[step.refs[0] - 1]))
+            f = Box(derived[step.refs[0] - 1])
+            if fold(f, lambda g, below: 1 + max(below, default=0)) > MAX_DEPTH:
+                raise ValueError(f"step {n}: formula nested deeper than "
+                                 f"{MAX_DEPTH} levels")
+            derived.append(f)
         else:
             return fail(f"unknown step kind {step.kind!r}")
     if not derived:

@@ -6,12 +6,14 @@ All evaluation happens on core formulas.
 
 _OPERANDS names the operand fields of each node class, and every structural
 walk reads it: the queries below, the printer, schema matching in proofs and
-goal compilation in engine. Desugaring shares operands, so a core formula is
-a DAG that may stand for an exponentially larger tree: fold() and
-surface_variables visit each distinct node object once, iteratively, so the
-queries take time linear in the DAG. The parser checks the height of each
-node it builds, so a left-deep chain such as p & p & ..., which it builds
-without recursing, is refused at the operator that makes it too deep.
+goal compilation in engine. Desugaring shares operands, so a core formula is a
+DAG that may stand for an exponentially larger tree: fold() and
+surface_variables visit each distinct node object once, so the queries take
+time linear in the DAG. Formulas grow tall in three places, each bounded, so
+the walks recurse per level, 444 levels at most: the parser (MAX_DEPTH; a
+left-deep chain p & p & ..., built without recursing, is refused at the
+operator that makes it too deep), a goal (balanced by engine._conjoin) and a
+nec step (proofs.check_derivation, MAX_DEPTH).
 
 Concrete syntax has one table per operator kind: _BIN (each binary class,
 its text and precedence level), _PREFIX and _CONSTANTS. The lexer's lexemes,
@@ -170,28 +172,19 @@ def fold(f: Formula, combine):
     """combine(node, [result of each operand]) over the distinct node
     objects of f, operands before the nodes using them; the result at f.
 
-    The walk is iterative and memoised by node identity (ids stay unique
-    while f, which holds every node, is alive), so it takes time linear in
-    the DAG, and combine is called once per node object, in the order of a
-    depth-first left-to-right postorder.
+    The walk recurses one frame per level, at most 444 (see MAX_DEPTH; map,
+    unlike a comprehension, adds no frame), and is memoised by node identity
+    (ids stay unique while f, which holds every node, is alive), so it takes
+    time linear in the DAG, and combine is called once per node object, in
+    the order of a depth-first left-to-right postorder.
     """
     done = {}
-    stack = [f]
-    opened = []     # (node, its operands) whose operands are being folded
-    while stack:
-        g = stack.pop()
-        if g is None:   # the operands of the last opened node are done
-            g, operands = opened.pop()
-            done[id(g)] = combine(g, [done[id(h)] for h in operands])
-        elif id(g) not in done:
-            operands = children(g)
-            if operands:
-                opened.append((g, operands))
-                stack.append(None)
-                stack.extend(reversed(operands))
-            else:
-                done[id(g)] = combine(g, [])
-    return done[id(f)]
+
+    def walk(g):
+        if id(g) not in done:
+            done[id(g)] = combine(g, list(map(walk, children(g))))
+        return done[id(g)]
+    return walk(f)
 
 
 #: Reserved variable used to lower T when the query mentions no variable at all.
@@ -291,9 +284,10 @@ def _tokenize(text):
     return tokens
 
 
-#: Deepest formula accepted. Parsing, desugaring, printing and evaluation
-#: recurse once or a few times per level of a tree, so deeper input would
-#: exhaust the interpreter's stack.
+#: Deepest formula accepted, by the parser and by proofs' nec steps. Parsing,
+#: desugaring, printing and evaluation recurse a few times per level, and a
+#: core is up to seven times as tall as its surface: 444 levels for 63 nested
+#: P under strict_def7, within the default limit of 1 000 frames.
 MAX_DEPTH = 64
 
 

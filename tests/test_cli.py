@@ -10,6 +10,7 @@ import deolog
 from deolog import cli
 from deolog.documents import model_from_doc
 from deolog.models import validate_model
+from deolog.regimes import BasicRegime, DeltaRegime, WeightedRegime
 
 DERIVATIONS = pathlib.Path(deolog.__file__).parent / "derivations"
 # 13 variables: one more than a universe may hold
@@ -354,6 +355,16 @@ class TestSatCommand:
         assert "at least one formula" in r.stderr
 
 
+def test_regime_flags_default_to_the_regimes_defaults():
+    parser = cli.build_parser()
+    for regime, default in (("basic", BasicRegime()), ("delta", DeltaRegime()),
+                            ("weighted", WeightedRegime())):
+        args = parser.parse_args(["check", "|- p", "--regime", regime])
+        assert cli._regime_from_args(args) == default
+    args = parser.parse_args(["sat", "p"])
+    assert cli._regime_from_args(args) == DeltaRegime()
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
@@ -417,6 +428,17 @@ class TestProveCommand:
     def test_missing_file(self):
         assert run_cli("prove", "--check", "no-such-file.json")\
             .returncode == 3
+
+    def test_long_nec_chain_is_a_usage_error(self, tmp_path):
+        # 600 boxes used to crash the printer with a RecursionError, exit 4
+        steps = [{"kind": "axiom", "schema": "PC-taut", "formula": "p -> p"}]
+        steps += [{"kind": "nec", "ref": n} for n in range(1, 600)]
+        path = tmp_path / "derivation.json"
+        path.write_text(json.dumps({"steps": steps}))
+        r = run_cli("prove", "--check", str(path))
+        assert r.returncode == 3, r.stderr
+        assert "nested deeper than 64" in r.stderr
+        assert r.stdout == ""
 
     def test_tautology_over_the_atom_cap_is_a_usage_error(self, tmp_path):
         formula = " & ".join(f"a{i}" for i in range(21)) + " -> a0"

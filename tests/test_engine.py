@@ -1,3 +1,4 @@
+import functools
 import itertools
 import pathlib
 import random
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import deolog
 from deolog import engine
 from deolog.syntax import (And, Diamond, Not, Oblig, Or, Perm, PrefWeak, Var,
-                           desugar, modal_depth, parse, variables)
+                           desugar, fold, modal_depth, parse, top_variable,
+                           variables)
 from deolog.models import (MAX_UNIVERSE, Evaluator, Model, holds_at,
                            make_worlds, powerset_worlds, validate_model,
                            world_from_members)
@@ -21,7 +23,7 @@ from deolog.regimes import (BasicRegime, DeltaRegime, WeightClass,
                             admissible_delta, admissible_forced,
                             admissible_weighted, delta_minimal,
                             forced_choice, p_nearest)
-from deolog.engine import (_AND, _NOT, _PREF, ORACLE_WORLD_CAP,
+from deolog.engine import (_AND, _NOT, _PREF, _VAR, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
                            _can_hold, _model, _oracle_search,
                            _orbit_orders, _pattern, _powerset,
@@ -211,6 +213,32 @@ class TestForallWeights:
         assert v.fingerprint["extras_searched"] == searched
         assert v.fingerprint["weightings"] == weightings
 
+    def test_rung_over_the_oracle_cap_enumerates_no_weighting(
+            self, monkeypatch):
+        # 8, 16 and 32 worlds exceed the oracle cap: the 31 + 1 375 + 36 151
+        # weightings of the three rungs used to be enumerated before each
+        # rung's first search was cut
+        calls = mock.Mock(wraps=regimes.enumerate_weight_orders)
+        monkeypatch.setattr(engine, "enumerate_weight_orders", calls)
+        sequent = Sequent.parse("O O p ; q & r |- O p")
+        v = check_forall_weights_invalidity(sequent)
+        assert (v.kind, v.countermodel) == ("unknown", None)
+        assert v.fingerprint == {"regime": "forall-weights",
+                                 "grid": list(range(1, 10)), "extra_vars": 0,
+                                 "extras_searched": [], "weightings": []}
+        v = check(sequent, WeightedRegime())
+        assert (v.kind, v.detail) == \
+            ("qualified-valid", "budget exceeded before the base search")
+        assert (v.fingerprint["extras_searched"],
+                v.fingerprint["weightings"]) == ([], [])
+        assert calls.call_count == 0
+        # rung 0 has 4 worlds, rungs 1 and 2 are cut unenumerated
+        v = check_forall_weights_invalidity(
+            Sequent.parse("O O (p & q) |- O (p & q)"))
+        assert (v.fingerprint["extras_searched"],
+                v.fingerprint["weightings"]) == ([0], [3])
+        assert calls.call_count == 1
+
     @pytest.mark.parametrize("grid", [(), (0, 1, 2), (-1, 1)])
     def test_grid_must_be_positive(self, grid):
         with pytest.raises(ValueError):
@@ -351,6 +379,100 @@ def test_weighted_models_pass_their_certificate(premises, conclusion):
             else:
                 assert v.strategy == "per-weighting"
                 assert pick in p_nearest(m.weights, w, prop)
+
+
+def _left_nested_goal(sequent):
+    """The goal as it was built before goals were balanced."""
+    formulas = [*sequent.premises, Not(sequent.conclusion)]
+    top = top_variable(*formulas)
+    return functools.reduce(And, [desugar(f, top) for f in formulas])
+
+
+def _atom_ops(goal):
+    """Each atom's operands as nested ops, free of slot numbers."""
+    def expand(slot):
+        kind, a, b = goal.code[slot]
+        if kind == _VAR:
+            return a
+        return (kind, expand(a)) if kind == _NOT else \
+            (kind, expand(a), expand(b))
+    return [(expand(l), expand(r)) for _, l, r in goal.atoms]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(premises=st.lists(_depth2(("p", "q")), min_size=3, max_size=7),
+       conclusion=_depth2(("p", "q")))
+def test_balanced_goal_searches_as_the_left_nested_one(premises, conclusion):
+    sequent = Sequent(tuple(premises), conclusion)
+    balanced, nested = Goal(sequent.goal()), Goal(_left_nested_goal(sequent))
+    assert _atom_ops(balanced) == _atom_ops(nested)
+    a, b = (engine._find(goal, DELTA0).verdict("invalid", "valid",
+                                               "qualified-valid")
+            for goal in (balanced, nested))
+    assert (a.kind, a.fingerprint) == (b.kind, b.fingerprint)
+    if a.countermodel is not None:
+        assert a.witness.name == b.witness.name
+        assert model_to_doc(a.countermodel) == model_to_doc(b.countermodel)
+
+
+def _height(f):
+    return fold(f, lambda g, below: 1 + max(below, default=0))
+
+
+def _conjuncts(f, count):
+    """The leaves of the conjunction f of count conjuncts, left to right."""
+    if count == 1:
+        return [f]
+    half = (count + 1) // 2
+    return _conjuncts(f.left, half) + _conjuncts(f.right, count - half)
+
+
+def test_goal_is_balanced_in_conjunct_order():
+    for n in range(1, 40):
+        formulas = [Var(f"v{i}") for i in range(n)]
+        goal = engine._conjoin(formulas, False)
+        assert _conjuncts(goal, n) == formulas
+        assert _height(goal) == 1 + (n - 1).bit_length()
+        if n <= 3:
+            # the shape of every paper claim's goal, left-nested as before
+            assert goal == functools.reduce(And, formulas)
+    goal = Sequent.parse(" ; ".join(["p"] * 1500) + " |- q").goal()
+    assert _height(goal) == 12
+
+
+def _iff_chain(levels):
+    f = "p"
+    for _ in range(levels):
+        f = f"(p <-> {f})"
+    return f
+
+
+@pytest.mark.parametrize("text, strict_def7, height, kinds", [
+    # the tallest core a parse yields, then the tallest without strict_def7
+    ("P " * 63 + "p", True, 444,
+     ["invalid", "sat", "qualified-valid", "sat", "invalid", "sat"]),
+    ("O " * 63 + "p", False, 319,
+     ["invalid", "sat", "invalid", "unknown", "invalid", "sat"]),
+    (_iff_chain(62), False, 311,
+     ["invalid", "sat", "invalid", "sat", "invalid", "sat"]),
+    (_iff_chain(63), False, 316,
+     ["valid", "sat", "qualified-valid", "sat", "valid", "sat"]),
+], ids=["P63-strict", "O63", "iff62", "iff63"])
+def test_deepest_parseable_formulas_are_decided(text, strict_def7, height,
+                                                kinds):
+    # in this process, at the interpreter's default recursion limit: the
+    # oracle used to recurse once per world and atom, and overflowed
+    f = parse(text)
+    assert _height(desugar(f, strict_def7=strict_def7)) == height
+    observed = []
+    for regime in (DELTA0, BasicRegime(2), WeightedRegime()):
+        v = check(Sequent((), f), regime, strict_def7)
+        observed += [v.kind, satisfiable([f], regime, strict_def7).kind]
+        if v.countermodel is not None:
+            assert validate_model(v.countermodel) == []
+            assert holds_at(v.countermodel, Sequent((), f).goal(strict_def7),
+                            v.witness)
+    assert observed == kinds
 
 
 class TestGoal:
@@ -1018,6 +1140,20 @@ def test_memoised_oracle_finds_the_unmemoised_model(formula, frame):
         return
     admissible = admissible_basic if mode == "basic" else admissible_delta
     args = (PQ, vals, goal, admissible, mode)
+    assert _oracle_search(*args) == _unmemoised_oracle_search(*args)
+
+
+@pytest.mark.parametrize("text, vals", [
+    # an atom that has tried all its branches leaves no pick behind for the
+    # next branch of an earlier atom
+    ("O P p ; ~q & P q |- O ~p", (0, 0, 3)),
+    # a later atom reads the cells again, so picks of one truth value and
+    # other ranks are branches of their own
+    ("P O q |- (q >= p) & O q", (1, 1, 2, 3)),
+])
+def test_oracle_walks_the_branches_the_unmemoised_one_does(text, vals):
+    args = (PQ, vals, Goal(Sequent.parse(text).goal()), admissible_basic,
+            "basic")
     assert _oracle_search(*args) == _unmemoised_oracle_search(*args)
 
 

@@ -209,6 +209,19 @@ class TestCheckDerivation:
     def test_empty_derivation(self):
         assert not check_derivation([]).ok
 
+    def test_nec_refuses_a_line_nested_deeper_than_the_parser_allows(self):
+        # p -> p is 2 levels tall and each nec adds one: 62 steps reach
+        # MAX_DEPTH = 64, and line 64 would be 65 levels tall
+        steps = [step_from_dict({"kind": "axiom", "schema": "PC-taut",
+                                 "formula": "p -> p"})]
+        steps += [Step("nec", refs=(n,)) for n in range(1, 63)]
+        result = check_derivation(steps)
+        assert result.ok
+        assert result.theorem == parse("[]" * 62 + "(p -> p)")
+        with pytest.raises(ValueError,
+                           match="step 64: formula nested deeper than 64"):
+            check_derivation(steps + [Step("nec", refs=(63,))])
+
 
 class TestStepFromDict:
     def test_unknown_schema(self):
