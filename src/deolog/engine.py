@@ -40,8 +40,9 @@ over every universe, not only up to two fresh variables.
 Two backends find falsifying utilities: a rank-constraint solver (exact for
 modal depth <= 1, where preference operands denote fixed propositions) and
 exhaustive weak-order enumeration (any depth). The goal's modal depth alone
-chooses between them. Every countermodel is re-verified by direct evaluation
-before it is reported.
+chooses between them. Both search world indices only; _search_worlds alone
+builds the model and re-verifies it by direct evaluation, and a model that
+fails raises AssertionError: a fault of the search, never a verdict.
 
 Each decision compiles its goal once into a Goal: a flat program over the
 goal's distinct subformulas, with its modal depth, variables, preference
@@ -112,7 +113,7 @@ range(n), in index order. That is the worlds' name order on the power set
 and on every basic frame with at most ten worlds of one valuation
 (make_worlds' "#10" sorts before "#2"), so there the first model found is
 the one a search over World objects by name finds. Worlds are built only in
-_model, for a model about to be reported.
+_search_worlds, by make_worlds: on the power set, those of powerset_worlds.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ from typing import NamedTuple
 from . import syntax
 from .syntax import (And, Formula, Not, ParseError, PrefWeak, Var, desugar,
                      parse, top_variable)
-from .models import (MAX_UNIVERSE, Model, World, holds_at, make_worlds,
-                     powerset_worlds)
+from .models import MAX_UNIVERSE, Model, World, holds_at, make_worlds
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
 from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
@@ -364,27 +364,6 @@ def _powerset(universe):
     return range(1 << len(universe))
 
 
-def _model(universe, vals, rank, selection, mode, weights):
-    """The Model of a frame's rank list and of a selection keyed by (world
-    index, cell mask) to pick index, with one frozenset of worlds per
-    distinct cell. Its worlds are the power set for a delta model, else
-    make_worlds of the valuations."""
-    if mode == "delta":
-        worlds = powerset_worlds(universe)
-    else:
-        n = len(universe)
-        worlds = make_worlds(universe, [
-            [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
-            for val in vals])
-    props = {}
-    for _, mask in selection:
-        if mask not in props:
-            props[mask] = frozenset(worlds[j] for j in _bits(mask))
-    return Model(universe, worlds, dict(zip(worlds, rank)),
-                 {(worlds[at], props[mask]): worlds[j]
-                  for (at, mask), j in selection.items()}, mode, weights)
-
-
 def _assignment_masks(k):
     """For each of k free atoms, the mask over the 2^k assignments (numbered
     in itertools.product((False, True), repeat=k) order) where it is true."""
@@ -525,10 +504,11 @@ def _can_hold(goal, universe, valset):
                         structure.assignments) != 0
 
 
-def _solver_search(universe, vals, goal, admissible, mode, weights=None):
+def _solver_search(universe, vals, goal, admissible):
     """Depth <= 1 backend: preference operands denote fixed propositions, so
     a falsifying utility is a solution of rank comparisons among the picked
-    worlds of the witness row."""
+    worlds of the witness row. Returns the rank list, selection and witness
+    index (see _search_worlds) of the first allowed combination, or None."""
     if vals == _powerset(universe):
         # world j has valuation j, so valuation masks are world masks
         structure = _cells_of(goal, universe, (1 << len(vals)) - 1)
@@ -569,12 +549,8 @@ def _solver_search(universe, vals, goal, admissible, mode, weights=None):
                     continue
                 ranks = solve_order_constraints(
                     _rank_constraints(sides, t, combo))
-                model = _model(universe, vals,
-                               [ranks.get(j, 0) for j in range(len(vals))],
-                               {(x, cell): j for cell, j in zip(cells, combo)},
-                               mode, weights)
-                if holds_at(model, goal.formula, model.worlds[x]):
-                    return model, model.worlds[x]
+                return ([ranks.get(j, 0) for j in range(len(vals))],
+                        {(x, cell): j for cell, j in zip(cells, combo)}, x)
     return None
 
 
@@ -594,10 +570,12 @@ def _check_oracle_cap(n):
             f"{n} worlds exceeds oracle cap {ORACLE_WORLD_CAP}")
 
 
-def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
+def _oracle_search(universe, vals, goal, admissible):
     """Any-depth backend: enumerate weak orders on the worlds, then resolve
     preference atoms stratum by stratum (innermost operands first), branching
-    over admissible picks for each selection cell as it arises."""
+    over admissible picks for each selection cell as it arises. Returns the
+    rank list, selection and lowest world of the first nonempty goal mask,
+    or None."""
     n = len(vals)
     _check_oracle_cap(n)
     full = (1 << n) - 1
@@ -620,14 +598,9 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
     # index of the picked world
     def finish(rank, selection):
         goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
-        model = None
-        for j in _bits(values[goal.root]):
-            if model is None:
-                model = _model(universe, vals, rank, selection, mode, weights)
-            world = model.worlds[j]
-            if holds_at(model, goal.formula, world):  # re-verification
-                return model, world
-        return None
+        root = values[goal.root]
+        return (rank, dict(selection), (root & -root).bit_length() - 1) \
+            if root else None
 
     def rest_holds(i, mask):
         """Whether the goal's root is nonempty when atom i denotes mask and
@@ -723,8 +696,29 @@ def _oracle_search(universe, vals, goal, admissible, mode, weights=None):
 
 
 def _search_worlds(universe, vals, goal, admissible, mode, weights=None):
+    """The first model of the goal on the frame and its witness world, or
+    None. The engine builds models only here, from the backend's rank list,
+    selection keyed by (world index, cell mask) to pick index and witness
+    index, and re-verifies each: a failure raises AssertionError."""
     search = _solver_search if goal.backend == "solver" else _oracle_search
-    return search(universe, vals, goal, admissible, mode, weights)
+    found = search(universe, vals, goal, admissible)
+    if found is None:
+        return None
+    rank, selection, x = found
+    n = len(universe)
+    worlds = make_worlds(universe, [
+        [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
+        for val in vals])
+    props = {}
+    for _, mask in selection:
+        if mask not in props:
+            props[mask] = frozenset(worlds[j] for j in _bits(mask))
+    model = Model(universe, worlds, dict(zip(worlds, rank)),
+                  {(worlds[at], props[mask]): worlds[j]
+                   for (at, mask), j in selection.items()}, mode, weights)
+    if not holds_at(model, goal.formula, worlds[x]):
+        raise AssertionError(f"{goal.backend} model fails re-verification")
+    return model, worlds[x]
 
 
 # --- Regime searchers --------------------------------------------------------

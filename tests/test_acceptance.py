@@ -190,8 +190,7 @@ def test_criterion_12_oracle_equivalence(capsys):
         goal = Goal(sequent.goal())
         # both backends on the same Delta{0} frame
         universe = tuple(goal.variables)
-        frame = (universe, _powerset(universe), goal, admissible_delta,
-                 "delta")
+        frame = (universe, _powerset(universe), goal, admissible_delta)
         via_solver = _solver_search(*frame) is not None
         via_oracle = _oracle_search(*frame) is not None
         agreements += via_solver == via_oracle

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import deolog
-from deolog import cli
+from deolog import cli, engine
 from deolog.documents import model_from_doc
 from deolog.models import validate_model
 from deolog.regimes import BasicRegime, DeltaRegime, WeightedRegime
@@ -372,6 +372,28 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check", crash)
     assert cli.main(["check", "|- p"]) == 4
     assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
+
+
+def test_model_failing_re_verification_exits_4(monkeypatch, capsys):
+    # p |- q is invalid: a model that fails its check is a fault of the
+    # search, and must not make it read as valid
+    monkeypatch.setattr(engine, "holds_at", lambda *args: False)
+    assert cli.main(["check", "p |- q"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: AssertionError" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("", "weight grid is empty"),
+    (" ", "weight grid is empty"),
+    ("1,,2", "weight grid '1,,2' is not 'a..b' or a comma list of integers"),
+    ("1..x", "weight grid '1..x' is not 'a..b' or a comma list of integers"),
+])
+def test_grid_errors_name_the_grid(capsys, grid, message):
+    assert cli.main(["check", "O p |- O q", "--regime", "weighted",
+                     "--grid", grid]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("sequent, code", [("p |- p", 0), ("p |- p >", 3)])

@@ -25,14 +25,14 @@ from deolog.regimes import (BasicRegime, DeltaRegime, WeightClass,
                             forced_choice, p_nearest)
 from deolog.engine import (_AND, _NOT, _PREF, _VAR, ORACLE_WORLD_CAP,
                            BudgetExceeded, Goal, Sequent, _assignment_masks,
-                           _can_hold, _model, _oracle_search,
+                           _can_hold, _oracle_search,
                            _orbit_orders, _pattern, _powerset,
-                           _rank_constraints, _solver_search,
+                           _rank_constraints, _search_worlds, _solver_search,
                            _variable_masks, check,
                            check_forall_weights_invalidity,
                            find_countermodel_basic, find_countermodel_delta,
                            satisfiable)
-from deolog.documents import model_to_doc
+from deolog.documents import dumps_model, loads_model, model_to_doc
 from deolog.proofs import check_derivation, load_derivation
 
 BASIC4 = BasicRegime(4)
@@ -364,7 +364,8 @@ def test_invalid_exactly_when_goal_satisfiable(premises, conclusion, regime):
 @example(premises=[parse("p"), parse("q")], conclusion=parse("O(p & q)"))
 def test_weighted_models_pass_their_certificate(premises, conclusion):
     sequent = Sequent(tuple(premises), conclusion)
-    for v in (check(sequent, WeightedRegime()),
+    for v in (check(sequent, DELTA0), check(sequent, BASIC4),
+              check(sequent, WeightedRegime()),
               check(sequent, WeightedRegime(WeightClass.parse("q>p"))),
               check_forall_weights_invalidity(sequent)):
         m = v.countermodel
@@ -372,13 +373,63 @@ def test_weighted_models_pass_their_certificate(premises, conclusion):
             continue
         assert validate_model(m) == []
         assert holds_at(m, sequent.goal(), v.witness)
+        text = dumps_model(m)
+        assert dumps_model(loads_model(text)) == text
         assert v.weighting == m.weights
+        if m.weights is None:
+            continue
         for (w, prop), pick in m.selection.items():
             if v.strategy == "forced":
                 assert pick == forced_choice(w, prop)
             else:
                 assert v.strategy == "per-weighting"
                 assert pick in p_nearest(m.weights, w, prop)
+
+
+def _depth1_surface(names):
+    """Surface formulas of modal depth at most 1 over the given variables."""
+    def boolean(leaves):
+        return st.recursive(leaves, lambda kids: st.one_of(
+            st.builds(Not, kids), st.builds(And, kids, kids),
+            st.builds(Or, kids, kids)), max_leaves=3)
+    props = boolean(st.sampled_from([Var(n) for n in names]))
+    return boolean(st.one_of(props, st.builds(Oblig, props),
+                             st.builds(Perm, props), st.builds(Diamond, props),
+                             st.builds(PrefWeak, props, props)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(premises=st.lists(_depth1_surface(("p", "q")), max_size=2),
+       conclusion=_depth1_surface(("p", "q")))
+def test_delta_verdicts_carry_across_regimes(premises, conclusion):
+    sequent = Sequent(tuple(premises), conclusion)
+    delta = check(sequent, DELTA0).kind
+    if delta == "valid":
+        # Fact 1: nearest picks under any weighting are delta-based, so a
+        # weighted countermodel is a delta one
+        for weight_class in (WeightClass(), WeightClass.parse("q>p")):
+            assert check(sequent, WeightedRegime(weight_class)).kind == "valid"
+    else:
+        # the power set over {p, q} is a basic frame of at most four worlds
+        assert delta == "invalid"
+        assert check(sequent, BASIC4).kind == "invalid"
+
+
+# --- Every model re-verified at one boundary ---------------------------------
+
+@pytest.mark.parametrize("text, regime", [
+    ("p |- q", DELTA0),
+    ("O O p |- O p", DELTA0),
+    ("|- p", BASIC4),
+    ("O(p & q) |- O q", WeightedRegime()),
+], ids=["solver", "oracle", "basic", "weighted"])
+def test_a_model_failing_re_verification_raises(monkeypatch, text, regime):
+    sequent = Sequent.parse(text)
+    assert check(sequent, regime).kind == "invalid"
+    # a fault of the search: no model it finds satisfies the goal
+    monkeypatch.setattr(engine, "holds_at", lambda *args: False)
+    with pytest.raises(AssertionError, match="fails re-verification"):
+        check(sequent, regime)
 
 
 def _left_nested_goal(sequent):
@@ -564,10 +615,28 @@ def test_bitmask_evaluator_agrees_with_holds_at(formula, seed, three):
 
 # --- Rank-solver rows decided once per pick pattern ---------------------------
 
-def _per_combination_search(universe, vals, goal, admissible, mode,
-                            weights=None):
+def _frame_worlds(universe, vals):
+    """The World objects a model of the frame has."""
+    n = len(universe)
+    return make_worlds(universe, [
+        [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
+        for val in vals])
+
+
+def _holds(universe, vals, goal, rank, selection, x):
+    """Whether a backend's rank list and selection, keyed by (world index,
+    cell mask), make a model of the frame satisfying the goal at world x."""
+    worlds = _frame_worlds(universe, vals)
+    model = Model(universe, worlds, dict(zip(worlds, rank)),
+                  {(worlds[at], frozenset(worlds[j] for j in _bits(mask))):
+                   worlds[j] for (at, mask), j in selection.items()})
+    return holds_at(model, goal.formula, worlds[x])
+
+
+def _per_combination_search(universe, vals, goal, admissible):
     """The rank solver as it was before pick patterns: every pick
-    combination of every satisfying assignment solved on its own."""
+    combination of every satisfying assignment solved on its own, the first
+    one whose model satisfies the goal returned as the backend returns it."""
     den = goal.slots(_variable_masks(universe, vals, goal.variables))
     goal.run(den, (1 << len(vals)) - 1)
     fixed = {}
@@ -618,9 +687,8 @@ def _per_combination_search(universe, vals, goal, admissible, mode,
                     continue
                 rank = [ranks.get(j, 0) for j in range(len(vals))]
                 selection = {(x, cell): j for cell, j in zip(cells, combo)}
-                model = _model(universe, vals, rank, selection, mode, weights)
-                if holds_at(model, goal.formula, model.worlds[x]):
-                    return model, model.worlds[x]
+                if _holds(universe, vals, goal, rank, selection, x):
+                    return rank, selection, x
     return None
 
 
@@ -659,15 +727,13 @@ def test_pattern_search_matches_per_combination(formula, policy, weights):
     weighting = dict(zip(PQ, weights))
     if policy == "basic":
         # one Goal over every frame, so its pattern memo outlives a frame
-        runs = [(frame, admissible_basic, "basic", None)
-                for frame in BASIC_FRAMES]
+        runs = [(frame, admissible_basic) for frame in BASIC_FRAMES]
     elif policy == "delta":
-        runs = [(_powerset(PQ), admissible_delta, "delta", None)]
+        runs = [(_powerset(PQ), admissible_delta)]
     else:
-        runs = [(_powerset(PQ), admissible_weighted(weighting),
-                 "delta", weighting)]
-    for vals, admissible, mode, model_weights in runs:
-        args = (PQ, vals, goal, admissible, mode, model_weights)
+        runs = [(_powerset(PQ), admissible_weighted(weighting))]
+    for vals, admissible in runs:
+        args = (PQ, vals, goal, admissible)
         assert _solver_search(*args) == _per_combination_search(*args)
 
 
@@ -737,7 +803,7 @@ VALUATIONS = list(_powerset(PQ))
 @example(formula=Sequent.parse("O O q |- O q").goal(), frame=[0, 0, 1])
 def test_symmetric_search_matches_every_row_and_order(formula, frame):
     goal = Goal(formula)
-    args = (PQ, tuple(frame), goal, admissible_basic, "basic")
+    args = (PQ, tuple(frame), goal, admissible_basic)
     if goal.depth <= 1:
         # the reference searches every row, each on its own
         assert _solver_search(*args) == _per_combination_search(*args)
@@ -747,7 +813,7 @@ def test_symmetric_search_matches_every_row_and_order(formula, frame):
         # a fresh Goal, since the first one holds the frame's orbit orders
         with mock.patch.object(engine, "_orbit_orders", _every_order):
             assert found == _oracle_search(PQ, tuple(frame), Goal(formula),
-                                           admissible_basic, "basic")
+                                           admissible_basic)
 
 
 def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
@@ -791,11 +857,6 @@ def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
     assert built == []
 
 
-def _frame_worlds(universe, vals, mode):
-    """The World objects a model of the frame has."""
-    return _model(universe, vals, [0] * len(vals), {}, mode, None).worlds
-
-
 def _world_orbit_orders(worlds):
     """_orbit_orders as it was on World objects: the weak orders of the
     worlds in name order that are the first of their orbit, keyed by each
@@ -823,7 +884,7 @@ def test_orbit_orders_match_the_world_keyed_orbits():
                   _powerset(PQ), count)]
     assert len(frames) == 209
     for vals in frames:
-        worlds = _frame_worlds(PQ, vals, "basic")
+        worlds = _frame_worlds(PQ, vals)
         assert list(_orbit_orders(vals)) == [
             [utility[w] for w in worlds]
             for utility in _world_orbit_orders(worlds)], vals
@@ -858,8 +919,8 @@ def test_one_goal_searches_each_frame_as_a_fresh_goal_does(formula):
     if len(goal.atoms) > 4:
         return
     for vals in BASIC_FRAMES:
-        assert _oracle_search(PQ, vals, goal, admissible_basic, "basic") == \
-            _oracle_search(PQ, vals, Goal(formula), admissible_basic, "basic")
+        assert _oracle_search(PQ, vals, goal, admissible_basic) == \
+            _oracle_search(PQ, vals, Goal(formula), admissible_basic)
 
 
 def test_solver_searches_one_row_per_valuation():
@@ -872,7 +933,7 @@ def test_solver_searches_one_row_per_valuation():
         return ()
 
     goal = Goal(Not(PrefWeak(Var("q"), Not(Var("q")))))
-    assert _solver_search(PQ, vals, goal, no_picks, "basic") is None
+    assert _solver_search(PQ, vals, goal, no_picks) is None
     # both cells are asked at each row searched: worlds 00 and 01
     assert rows == [0, 0, 2, 2]
 
@@ -889,7 +950,7 @@ def _every_basic_frame(goal, max_worlds):
     for count in range(1, max_worlds + 1):
         for vals in itertools.combinations_with_replacement(
                 _powerset(universe), count):
-            found = _solver_search(universe, vals, goal, admissible_basic,
+            found = _search_worlds(universe, vals, goal, admissible_basic,
                                    "basic")
             if found:
                 return found
@@ -940,11 +1001,10 @@ def test_set_decisions_keep_the_first_basic_model(formula, max_worlds):
 def test_repeating_a_valuation_keeps_a_model(formula, frame, repeat):
     goal = Goal(formula)
     vals = tuple(sorted(frame))
-    if _solver_search(PQR, vals, goal, admissible_basic, "basic") is None:
+    if _solver_search(PQR, vals, goal, admissible_basic) is None:
         return
     repeated = tuple(sorted(vals + (vals[repeat % len(vals)],)))
-    assert _solver_search(PQR, repeated, goal, admissible_basic,
-                          "basic") is not None
+    assert _solver_search(PQR, repeated, goal, admissible_basic) is not None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -962,7 +1022,7 @@ def test_no_frame_over_a_hopeless_set_has_a_model(formula, valset):
         for repeats in itertools.combinations_with_replacement(vals, extra):
             frame = tuple(sorted(vals + repeats))
             assert _solver_search(PQR, frame, Goal(formula),
-                                  admissible_basic, "basic") is None
+                                  admissible_basic) is None
 
 
 def test_s23_2_searches_no_basic_frame(monkeypatch):
@@ -994,33 +1054,33 @@ def test_eleven_world_basic_search_skips_hopeless_sets(sequent):
 # --- Frames as valuation ints ---------------------------------------------------
 
 def _frames(max_vars, max_basic_worlds):
-    """(universe, frame, mode): power sets of 1 to max_vars variables, and
-    sorted basic frames with a repeated valuation, whose index order is
-    their worlds' name order."""
+    """(universe, frame): power sets of 1 to max_vars variables, and sorted
+    basic frames with a repeated valuation, whose index order is their
+    worlds' name order."""
     def of_universe(n):
         universe = ("p", "q", "r", "s")[:n]
-        power = st.just((universe, tuple(_powerset(universe)), "delta"))
+        power = st.just((universe, tuple(_powerset(universe))))
         basic = st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                          max_size=max_basic_worlds - 1).map(
-            lambda vals: (universe, tuple(sorted(vals + vals[:1])), "basic"))
+            lambda vals: (universe, tuple(sorted(vals + vals[:1]))))
         return st.one_of(power, basic)
     return st.integers(1, max_vars).flatmap(of_universe)
 
 
 @st.composite
 def _cells(draw):
-    universe, vals, mode = draw(_frames(4, 6))
+    universe, vals = draw(_frames(4, 6))
     x = draw(st.integers(0, len(vals) - 1))
     cell = draw(st.integers(1, (1 << len(vals)) - 1))
     weights = draw(st.tuples(*[st.integers(1, 9) for _ in universe]))
-    return universe, vals, mode, x, cell, dict(zip(universe, weights))
+    return universe, vals, x, cell, dict(zip(universe, weights))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=_cells())
 def test_mask_policies_match_world_policies(case):
-    universe, vals, mode, x, cell, weighting = case
-    worlds = _frame_worlds(universe, vals, mode)
+    universe, vals, x, cell, weighting = case
+    worlds = _frame_worlds(universe, vals)
     assert [w.name for w in worlds] == sorted(w.name for w in worlds)
     w, prop = worlds[x], frozenset(worlds[j] for j in _bits(cell))
 
@@ -1039,6 +1099,14 @@ def test_mask_policies_match_world_policies(case):
         indices(p_nearest(weighting, w, prop))
 
 
+@pytest.mark.parametrize("text", ["p |- q", "O O p |- O p"])
+def test_delta_models_have_the_power_set_worlds(text):
+    # the engine builds every model's worlds with make_worlds: on the power
+    # set, the names and order of powerset_worlds
+    model = check(Sequent.parse(text), DeltaRegime(1)).countermodel
+    assert model.worlds == powerset_worlds(model.universe)
+
+
 def test_engine_searches_with_the_regimes_policies():
     """Each mask policy is defined once, in regimes, and the engine's names
     are bound to those definitions."""
@@ -1047,10 +1115,11 @@ def test_engine_searches_with_the_regimes_policies():
         assert getattr(engine, name) is getattr(regimes, name)
 
 
-def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
-                              weights=None):
+def _unmemoised_oracle_search(universe, vals, goal, admissible):
     """The oracle before its last cell-reading atom was decided per mask:
-    every pick branch of every atom walked."""
+    every pick branch of every atom walked, and the first world of the
+    goal's mask where its model satisfies the goal returned as the backend
+    returns it."""
     n = len(vals)
     full = (1 << n) - 1
     atoms = goal.atoms
@@ -1059,9 +1128,8 @@ def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
     def finish(rank, selection):
         goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
         for j in _bits(values[goal.root]):
-            model = _model(universe, vals, rank, selection, mode, weights)
-            if holds_at(model, goal.formula, model.worlds[j]):
-                return model, model.worlds[j]
+            if _holds(universe, vals, goal, rank, selection, j):
+                return rank, dict(selection), j
         return None
 
     def assign_atom(i, rank, selection):
@@ -1134,12 +1202,12 @@ def _unmemoised_oracle_search(universe, vals, goal, admissible, mode,
                      Not(PrefWeak(Var("q"), Not(Var("q"))))),
          frame=("basic", (0, 1, 2)))
 def test_memoised_oracle_finds_the_unmemoised_model(formula, frame):
-    mode, vals = frame
+    policy, vals = frame
     goal = Goal(formula)
     if len(goal.atoms) > 4:
         return
-    admissible = admissible_basic if mode == "basic" else admissible_delta
-    args = (PQ, vals, goal, admissible, mode)
+    admissible = admissible_basic if policy == "basic" else admissible_delta
+    args = (PQ, vals, goal, admissible)
     assert _oracle_search(*args) == _unmemoised_oracle_search(*args)
 
 
@@ -1152,8 +1220,7 @@ def test_memoised_oracle_finds_the_unmemoised_model(formula, frame):
     ("P O q |- (q >= p) & O q", (1, 1, 2, 3)),
 ])
 def test_oracle_walks_the_branches_the_unmemoised_one_does(text, vals):
-    args = (PQ, vals, Goal(Sequent.parse(text).goal()), admissible_basic,
-            "basic")
+    args = (PQ, vals, Goal(Sequent.parse(text).goal()), admissible_basic)
     assert _oracle_search(*args) == _unmemoised_oracle_search(*args)
 
 
