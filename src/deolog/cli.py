@@ -86,11 +86,13 @@ def _regime_flags(p):
 def _parse_grid(text):
     """The weights of 'a..b' or of a comma list; blank is the empty grid."""
     text = text.strip()
+    if not text:
+        return ()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(x) for x in text.split(",") if text)
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"weight grid {text!r} is not 'a..b' or a comma "
                          f"list of integers") from None

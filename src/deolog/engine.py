@@ -709,10 +709,8 @@ def _search_worlds(universe, vals, goal, admissible, mode, weights=None):
     worlds = make_worlds(universe, [
         [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
         for val in vals])
-    props = {}
-    for _, mask in selection:
-        if mask not in props:
-            props[mask] = frozenset(worlds[j] for j in _bits(mask))
+    props = {mask: frozenset(worlds[j] for j in _bits(mask))
+             for mask in {mask for _, mask in selection}}
     model = Model(universe, worlds, dict(zip(worlds, rank)),
                   {(worlds[at], props[mask]): worlds[j]
                    for (at, mask), j in selection.items()}, mode, weights)
