@@ -129,10 +129,9 @@ from .syntax import (And, Formula, Not, ParseError, PrefWeak, Var, desugar,
 from .models import MAX_UNIVERSE, Model, World, holds_at, make_worlds
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
-from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightClass,
-                      WeightedRegime, _bits, _check_extra_variables,
-                      admissible_basic, admissible_delta, admissible_forced,
-                      admissible_weighted, check_grid,
+from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightedRegime,
+                      _bits, admissible_basic, admissible_delta,
+                      admissible_forced, admissible_weighted,
                       enumerate_weight_orders)
 # unused in the search; benchmarks/tracer.py counts calls by these names
 from .regimes import delta_minimal, forced_choice, p_nearest  # noqa: F401
@@ -805,30 +804,30 @@ class _Search(NamedTuple):
     found: tuple | None     # the first (model, world) satisfying the goal
     fingerprint: dict       # the bounds searched
     fields: dict            # strategy, weight_robust, weighting of the model
-    complete: bool          # whether the base rung was searched to the end
-    bounded: bool = False   # finding no model proves only the bound searched
+    complete: bool          # whether finding no model proves there is none
     # the detail of a verdict of kind cut
     cut_note: str | None = "budget exceeded before the base search"
 
     def verdict(self, found, none, cut) -> Verdict:
-        """A verdict of kind found if a model was found, else of kind cut,
-        with cut_note, if a budget cut the base rung or the search proves
-        only its bound, else of kind none."""
+        """A verdict of kind found if a model was found, else of kind none
+        if the search is complete, else of kind cut, with cut_note."""
         if self.found:
             return Verdict(found, self.fingerprint, *self.found, **self.fields)
-        if self.complete and not self.bounded:
+        if self.complete:
             return Verdict(none, self.fingerprint)
         return Verdict(cut, self.fingerprint, detail=self.cut_note)
 
 
-def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
-    """Search the forced ladder from base; only if it has no model, search
-    the first rungs rungs from base once per weighting of the class on the
-    grid over the rung's universe (the goal's and the class's variables and
-    the fresh ones), with that weighting's nearest picks. A rung's model is
-    the first found under any weighting, or with every=True that of its
-    first weighting when every weighting has one. The fingerprint then gains
-    the rungs searched to the end and the number of weightings of each."""
+def _weighted(goal, regime, fingerprint, every):
+    """Search the forced ladder from the regime's base rung; only if it has
+    no model, search the base rung (with every=True, LADDER_RUNGS rungs)
+    once per weighting of the class on the grid over the rung's universe
+    (the goal's and the class's variables and the fresh ones), with that
+    weighting's nearest picks. A rung's model is the first found under any
+    weighting, or with every=True that of its first weighting when every
+    weighting has a model, each re-verified. The fingerprint then gains the
+    rungs searched to the end and the number of weightings of each."""
+    base = regime.extra_variables
     # a forced-pick model satisfies the goal under every weighting
     found, _ = _ladder(
         lambda extra: find_countermodel_delta(goal, extra, admissible_forced),
@@ -842,11 +841,12 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
 
     def per_weighting(extra):
         universe = _delta_universe(
-            set(goal.variables) | weight_class.variables(), extra)
+            set(goal.variables) | regime.weight_class.variables(), extra)
         vals = _powerset(universe)
         if goal.backend == "oracle":  # every weighting's search would be cut
             _check_oracle_cap(len(vals))
-        weightings = enumerate_weight_orders(universe, weight_class, grid)
+        weightings = enumerate_weight_orders(universe, regime.weight_class,
+                                             regime.grid)
         if not weightings:
             raise ValueError("weight class unsatisfiable on the grid")
         counts[extra] = len(weightings)
@@ -862,7 +862,8 @@ def _weighted(goal, weight_class, grid, base, fingerprint, rungs, every):
             first = first or found
         return first
 
-    found, searched = _ladder(per_weighting, goal, base, rungs)
+    found, searched = _ladder(per_weighting, goal, base,
+                              LADDER_RUNGS if every else 1)
     fingerprint["extras_searched"] = searched
     fingerprint["weightings"] = [counts[extra] for extra in searched]
     fields = {"weight_robust": False, "weighting": found[0].weights,
@@ -881,7 +882,7 @@ def _find(goal, regime) -> _Search:
         # search has searched every frame up to the cap.
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
-                       {}, complete, bounded=True,
+                       {}, False,
                        cut_note=None if complete else
                        f"frames of up to {ORACLE_WORLD_CAP} worlds searched; "
                        f"the oracle cap of {ORACLE_WORLD_CAP} worlds cut the "
@@ -895,11 +896,10 @@ def _find(goal, regime) -> _Search:
                        {}, base in searched)
     if not isinstance(regime, WeightedRegime):
         raise TypeError(f"unknown regime {regime!r}")
-    return _weighted(goal, regime.weight_class, regime.grid,
-                     regime.extra_variables,
+    return _weighted(goal, regime,
                      {"regime": "weighted", "class": str(regime.weight_class),
                       "grid": list(regime.grid),
-                      "extra_vars": regime.extra_variables}, 1, every=False)
+                      "extra_vars": regime.extra_variables}, every=False)
 
 
 # --- Verdict-producing operations --------------------------------------------
@@ -926,15 +926,13 @@ def check_forall_weights_invalidity(sequent: Sequent, grid=None, extra_vars=0,
     single forced-pick countermodel, then (fallback) rung by rung of the
     retry ladder, one countermodel per weight-order representative of that
     rung's universe."""
-    _check_extra_variables(extra_vars)
-    grid = DEFAULT_GRID if grid is None else check_grid(grid)
-    search = _weighted(Goal(sequent.goal(strict_def7)), WeightClass(), grid,
-                       extra_vars, {"regime": "forall-weights",
-                                    "grid": list(grid),
-                                    "extra_vars": extra_vars},
-                       LADDER_RUNGS, every=True)
+    regime = WeightedRegime(grid=DEFAULT_GRID if grid is None else grid,
+                            extra_variables=extra_vars)
+    search = _weighted(Goal(sequent.goal(strict_def7)), regime,
+                       {"regime": "forall-weights", "grid": list(regime.grid),
+                        "extra_vars": extra_vars}, every=True)
     # finding no rung with a model under every weighting proves nothing
     return search._replace(
-        bounded=True, cut_note="no rung of the ladder has a countermodel for "
-                               "every weighting").verdict(
+        complete=False, cut_note="no rung of the ladder has a countermodel "
+                                 "for every weighting").verdict(
         "invalid", "unknown", "unknown")

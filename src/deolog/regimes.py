@@ -80,16 +80,6 @@ class WeightClass:
 DEFAULT_GRID = tuple(range(1, 10))
 
 
-def check_grid(grid) -> tuple:
-    """The grid as a tuple, if it is a non-empty set of positive weights."""
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("weight grid is empty")
-    if min(grid) <= 0:
-        raise ValueError("weights on the grid must be positive")
-    return grid
-
-
 def _check_extra_variables(count):
     if count < 0:
         raise ValueError("the number of extra variables must be at least 0")
@@ -119,7 +109,10 @@ class WeightedRegime:
     extra_variables: int = 0
 
     def __post_init__(self):
-        check_grid(self.grid)
+        if not self.grid:
+            raise ValueError("weight grid is empty")
+        if min(self.grid) <= 0:
+            raise ValueError("weights on the grid must be positive")
         _check_extra_variables(self.extra_variables)
         if not self.weight_class.is_satisfiable():
             raise ValueError(f"weight class {self.weight_class} is cyclic: "

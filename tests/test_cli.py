@@ -376,12 +376,17 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 def test_model_failing_re_verification_exits_4(monkeypatch, capsys):
     # p |- q is invalid: a model that fails its check is a fault of the
-    # search, and must not make it read as valid
+    # search, and must not make it read as valid. The suite trusts the
+    # engine's check of the models it reports: a delta countermodel (S42),
+    # Chisholm's witness and a forall-weights countermodel (Prop6.b)
     monkeypatch.setattr(engine, "holds_at", lambda *args: False)
-    assert cli.main(["check", "p |- q"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "internal error: AssertionError" in err
+    for argv in (["check", "p |- q"], ["suite", "--only", "S42"],
+                 ["suite", "--only", "Chisholm"],
+                 ["suite", "--only", "Prop6.b"]):
+        assert cli.main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert "internal error: AssertionError" in err, argv
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -168,13 +168,17 @@ class TestForallWeights:
             for (w, prop), pick in m.selection.items():
                 assert pick in p_nearest(m.weights, w, prop)
 
-    def test_per_weighting_fallback(self):
+    def test_per_weighting_fallback(self, monkeypatch):
         # no forced-pick model refutes it, so every weighting of the base
-        # rung needs a countermodel of its own
+        # rung needs a countermodel of its own, and the engine re-verifies
+        # each of the 3, not only the one reported
+        calls = mock.Mock(wraps=holds_at)
+        monkeypatch.setattr(engine, "holds_at", calls)
         text = "p ; q |- O(p & q)"
         v = check_forall_weights_invalidity(Sequent.parse(text))
         assert (v.kind, v.strategy, v.weight_robust) == \
             ("invalid", "per-weighting", False)
+        assert (v.fingerprint["weightings"], calls.call_count) == ([3], 3)
         m = v.countermodel
         assert m.universe == ("p", "q")
         assert v.weighting == m.weights == {"p": 1, "q": 1}
