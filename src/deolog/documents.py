@@ -197,12 +197,12 @@ def verdict_to_doc(verdict) -> dict:
     if verdict.countermodel is not None:
         key = "model" if verdict.kind == "sat" else "countermodel"
         doc[key] = model_to_doc(verdict.countermodel)
-    if verdict.weight_robust is not None:
-        doc["weightRobust"] = verdict.weight_robust
     if verdict.strategy is not None:
+        doc["weightRobust"] = verdict.strategy == "forced"
         doc["strategy"] = verdict.strategy
-    if verdict.weighting is not None:
-        doc["weighting"] = {v: str(x) for v, x in verdict.weighting.items()}
+    weighting = getattr(verdict.countermodel, "weights", None)
+    if weighting is not None:
+        doc["weighting"] = {v: str(x) for v, x in weighting.items()}
     if verdict.detail is not None:
         doc["detail"] = verdict.detail
     return doc
@@ -213,11 +213,13 @@ def format_verdict(verdict) -> str:
     lines = [f"verdict: {verdict.kind}"]
     fp = ", ".join(f"{k}={v}" for k, v in verdict.fingerprint.items())
     lines.append(f"fingerprint: {fp}")
-    if verdict.weight_robust is not None:
-        lines.append(f"weight-robust: {str(verdict.weight_robust).lower()}")
-    if verdict.weighting is not None:
+    if verdict.strategy is not None:
+        robust = verdict.strategy == "forced"
+        lines.append(f"weight-robust: {str(robust).lower()}")
+    weighting = getattr(verdict.countermodel, "weights", None)
+    if weighting is not None:
         lines.append("weighting: " + ", ".join(
-            f"{v}={x}" for v, x in verdict.weighting.items()))
+            f"{v}={x}" for v, x in weighting.items()))
     if verdict.witness is not None:
         lines.append(f"witness: {verdict.witness.name}")
     if verdict.countermodel is not None:

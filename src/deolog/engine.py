@@ -19,11 +19,12 @@ searches the base rung for the first model under any weighting, and
 check_forall_weights_invalidity every rung for a model under every weighting;
 both fingerprints, like delta's, name the rungs searched to the end, with the
 number of weightings of each. A budget (ORACLE_WORLD_CAP worlds,
-models.MAX_UNIVERSE variables) raises BudgetExceeded in a rung; _budgeted
-alone catches it, for _ladder and the basic search. With the base rung cut, or
-in basic, whose frames stop at max_worlds with no small-model bound known, no
-model means qualified-valid to check and unknown to satisfiable. The only
-option of a decision is strict_def7, the reading of P the goal is built with.
+models.MAX_UNIVERSE variables, regimes.MAX_WEIGHT_CANDIDATES candidate
+weightings) raises BudgetExceeded in a rung; _budgeted alone catches it, for
+_ladder and the basic search. With the base rung cut, or in basic, whose
+frames stop at max_worlds with no small-model bound known, no model means
+qualified-valid to check and unknown to satisfiable. The only option of a
+decision is strict_def7, the reading of P the goal is built with.
 
 At modal depth <= 1 the ladder is one rung, the base rung, in every regime.
 Every cell of such a goal is a Boolean combination of the goal's variables,
@@ -74,7 +75,8 @@ single worlds included. A model at any member of an orbit, or at any row of
 a valuation, maps to one at the first, which is searched earlier, so the
 first model found is the one a search of every case would find. Those orbit
 orders depend only on which worlds share a valuation, the frame's _pattern,
-so Goal.orbits builds them once per pattern and decision.
+so Goal.orbits draws them once per pattern and decision, and only as far as
+some frame's search reads them: a first model costs the orders before it.
 
 At depth <= 1, what the rank solver reads off a frame before its pick walk
 depends only on the frame's set of valuations: the operands (one denotation
@@ -102,8 +104,14 @@ only on the mask the atom denotes, and the picks of each world make the atom
 true there, false, or either. So the atom's masks are forced | S for every
 subset S of either. Per frame, the oracle memoises whether one of them
 satisfies the goal somewhere, keyed by the atom, forced, either and the slots
-below the atom, and walks the atom's pick branches only when one does: the
-walk, and so the first model and its selection, is unchanged.
+below the atom, deciding each mask by the walk from the next atom, which
+reads no cell. It walks the atom's pick branches only when one does, so the
+first model and its selection are unchanged.
+
+A world of any model gives each variable and preference slot a truth value.
+So when no truth assignment to those slots satisfies the root
+(Goal.skeleton_holds, decided once per Goal), the oracle refutes every
+frame after its cap check, which keeps every cut.
 
 Frames are sequences of valuation ints, as in regimes: a basic frame is a
 sorted combination of valuations, the power set range(2^n). The mask
@@ -118,6 +126,7 @@ _search_worlds, by make_worlds: on the power set, those of powerset_worlds.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -129,15 +138,18 @@ from .syntax import (And, Formula, Not, ParseError, PrefWeak, Var, desugar,
 from .models import MAX_UNIVERSE, Model, World, holds_at, make_worlds
 from .orders import ComparisonAtom, bruteforce_weak_orders, \
     solve_order_constraints
-from .regimes import (DEFAULT_GRID, BasicRegime, DeltaRegime, WeightedRegime,
-                      _bits, admissible_basic, admissible_delta,
-                      admissible_forced, admissible_weighted,
-                      enumerate_weight_orders)
+from .regimes import (DEFAULT_GRID, MAX_WEIGHT_CANDIDATES, BasicRegime,
+                      DeltaRegime, WeightedRegime, _bits, admissible_basic,
+                      admissible_delta, admissible_forced,
+                      admissible_weighted, enumerate_weight_orders)
 # unused in the search; benchmarks/tracer.py counts calls by these names
 from .regimes import delta_minimal, forced_choice, p_nearest  # noqa: F401
 
 # the most worlds the weak-order oracle enumerates orders on
 ORACLE_WORLD_CAP = 6
+# the most atoms a propositional skeleton is evaluated over: its masks have
+# 2^k bits (Goal.skeleton_holds)
+MAX_TAUTOLOGY_ATOMS = 20
 # rungs of the retry ladder at modal depth >= 2: the base rung, then one and
 # two more fresh variables
 LADDER_RUNGS = 3
@@ -208,9 +220,7 @@ class Verdict:
     fingerprint: dict
     countermodel: Model | None = None
     witness: World | None = None
-    weight_robust: bool | None = None
-    weighting: dict | None = None
-    strategy: str | None = None
+    strategy: str | None = None    # forced | per-weighting, for weighted
     detail: str | None = None
 
     def exit_code(self):
@@ -303,9 +313,23 @@ class Goal:
         # basic frame's set of valuations -> whether some frame over it can
         # hold a model, filled by find_countermodel_basic
         self.basic_sets = {}
-        # a frame's _pattern -> the rank lists of _orbit_orders over it,
-        # filled by the oracle
+        # a frame's _pattern -> a tee of _orbit_orders over it that keeps
+        # every order its copies drew, filled by the oracle
         self.orbits = {}
+        self.skeleton = None     # skeleton_holds(), memoised by the oracle
+
+    def skeleton_holds(self) -> bool:
+        """Whether the root holds under some truth assignment to the variable
+        and preference slots, read as free atoms; if not, no world of any
+        model satisfies the goal. True, untried, over MAX_TAUTOLOGY_ATOMS."""
+        free = [i for i, op in enumerate(self.code) if op[0] in (_VAR, _PREF)]
+        if len(free) > MAX_TAUTOLOGY_ATOMS:
+            return True
+        values = [0] * len(self.code)
+        for slot, mask in zip(free, _assignment_masks(len(free))):
+            values[slot] = mask
+        self.run(values, (1 << (1 << len(free))) - 1)
+        return values[self.root] != 0
 
     @classmethod
     def of(cls, goal) -> "Goal":
@@ -457,31 +481,23 @@ def _cells_of(goal, universe, valset):
             free.append((slot, left, right))
     k = len(free)
     everything = (1 << (1 << k)) - 1
-    truth = {}
-    for (slot, _, _), mask in zip(free, _assignment_masks(k)):
-        truth[slot] = mask
-    for slot, value in fixed.items():
-        truth[slot] = everything if value else 0
-    cells = []
-    for _, left, right in free:
-        for cell in (left, right):
-            if cell not in cells:
-                cells.append(cell)
+    truth = {slot: everything * value for slot, value in fixed.items()}
+    truth.update((slot, mask) for (slot, _, _), mask
+                 in zip(free, _assignment_masks(k)))
+    cells = list(dict.fromkeys(cell for _, left, right in free
+                               for cell in (left, right)))
     sides = tuple((cells.index(left), cells.index(right))
                   for _, left, right in free)
     status = tuple(fixed.get(slot) for slot, _, _ in goal.atoms)
-    n = len(universe)
-    var_bits = [(name, 1 << (n - 1 - universe.index(name)))
-                for name in goal.variables]
     satisfying = {}
     assignments = 0
     for val in _bits(valset):
-        # the row's truth over the goal's variables
-        row = tuple(val & bit != 0 for _, bit in var_bits)
+        # the row's truth over the goal's variables, read off their masks
+        row = tuple(den[slot] >> val & 1 for slot, _ in goal.var_slots)
         mask = goal.satisfying.get((status, row))
         if mask is None:
-            values = goal.slots({name: everything if true else 0
-                                 for (name, _), true in zip(var_bits, row)})
+            values = goal.slots({name: everything * true for (_, name), true
+                                 in zip(goal.var_slots, row)})
             for slot, value in truth.items():
                 values[slot] = value
             goal.run(values, everything)
@@ -577,6 +593,10 @@ def _oracle_search(universe, vals, goal, admissible):
     or None."""
     n = len(vals)
     _check_oracle_cap(n)
+    if goal.skeleton is None:
+        goal.skeleton = goal.skeleton_holds()
+    if not goal.skeleton:
+        return None
     full = (1 << n) - 1
     atoms = goal.atoms
     values = goal.slots(_variable_masks(universe, vals, goal.variables))
@@ -595,27 +615,12 @@ def _oracle_search(universe, vals, goal, admissible):
 
     # the selection under construction maps (world index, cell mask) to the
     # index of the picked world
-    def finish(rank, selection):
-        goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
-        root = values[goal.root]
-        return (rank, dict(selection), (root & -root).bit_length() - 1) \
-            if root else None
-
-    def rest_holds(i, mask):
-        """Whether the goal's root is nonempty when atom i denotes mask and
-        every later atom compares a slot with itself."""
-        slot = atoms[i][0]
-        values[slot] = mask
-        for next_slot, l, _ in atoms[i + 1:]:
-            goal.run(values, full, slot + 1, next_slot)
-            values[next_slot] = full if values[l] else 0
-            slot = next_slot
-        goal.run(values, full, slot + 1)
-        return values[goal.root] != 0
-
     def assign_atom(i, rank, selection):
         if i == len(atoms):
-            return finish(rank, selection)
+            goal.run(values, full, atoms[-1][0] + 1 if atoms else 0)
+            root = values[goal.root]
+            return (rank, dict(selection), (root & -root).bit_length() - 1) \
+                if root else None
         slot, l, r = atoms[i]
         # operands only read slots below this atom, and deeper atoms only
         # write slots above it
@@ -643,11 +648,15 @@ def _oracle_search(universe, vals, goal, admissible):
                 elif True in truths:
                     forced |= 1 << j
             key = (i, forced, either, tuple(values[:slot]))
-            holds = rests.get(key)
-            if holds is None:
-                holds = rests[key] = any(rest_holds(i, forced | sub)
-                                         for sub in _submasks(either))
-            if not holds:
+            if key not in rests:
+                # the walk from atom i + 1 reads no cell, only the mask
+                rests[key] = False
+                for sub in _submasks(either):
+                    values[slot] = forced | sub
+                    if assign_atom(i + 1, rank, selection):
+                        rests[key] = True
+                        break
+            if not rests[key]:
                 return None
         # each world's branches (left pick, right pick, its bit if the atom
         # holds). Equal-rank picks are interchangeable: dedupe them by rank,
@@ -686,8 +695,8 @@ def _oracle_search(universe, vals, goal, admissible):
     shape = _pattern(vals)
     orders = goal.orbits.get(shape)
     if orders is None:
-        orders = goal.orbits[shape] = list(_orbit_orders(shape))
-    for rank in orders:
+        orders = goal.orbits[shape] = itertools.tee(_orbit_orders(shape), 1)[0]
+    for rank in copy.copy(orders):
         found = assign_atom(0, rank, {})
         if found:
             return found
@@ -704,10 +713,9 @@ def _search_worlds(universe, vals, goal, admissible, mode, weights=None):
     if found is None:
         return None
     rank, selection, x = found
-    n = len(universe)
-    worlds = make_worlds(universe, [
-        [v for i, v in enumerate(universe) if val >> (n - 1 - i) & 1]
-        for val in vals])
+    masks = _variable_masks(universe, vals, universe)
+    worlds = make_worlds(universe, [[v for v in universe if masks[v] >> j & 1]
+                                    for j in range(len(vals))])
     props = {mask: frozenset(worlds[j] for j in _bits(mask))
              for mask in {mask for _, mask in selection}}
     model = Model(universe, worlds, dict(zip(worlds, rank)),
@@ -745,19 +753,12 @@ def find_countermodel_basic(goal, max_worlds):
     return None
 
 
-def _fresh_variables(base, count):
-    out = []
-    i = 0
-    while len(out) < count:
-        name = f"_x{i}"
-        if name not in base:
-            out.append(name)
-        i += 1
-    return out
-
-
 def _delta_universe(base_vars, extra):
-    universe = sorted(set(base_vars) | set(_fresh_variables(base_vars, extra)))
+    """The base variables and the first extra of _x0, _x1, ... not among
+    them, sorted."""
+    fresh = (name for name in map("_x{}".format, itertools.count())
+             if name not in base_vars)
+    universe = sorted({*base_vars, *itertools.islice(fresh, extra)})
     if len(universe) > MAX_UNIVERSE:
         raise BudgetExceeded(
             f"universe of {len(universe)} variables exceeds cap "
@@ -803,7 +804,7 @@ def _ladder(search, goal, base, rungs=LADDER_RUNGS):
 class _Search(NamedTuple):
     found: tuple | None     # the first (model, world) satisfying the goal
     fingerprint: dict       # the bounds searched
-    fields: dict            # strategy, weight_robust, weighting of the model
+    strategy: str | None    # the strategy of a weighted model
     complete: bool          # whether finding no model proves there is none
     # the detail of a verdict of kind cut
     cut_note: str | None = "budget exceeded before the base search"
@@ -812,7 +813,8 @@ class _Search(NamedTuple):
         """A verdict of kind found if a model was found, else of kind none
         if the search is complete, else of kind cut, with cut_note."""
         if self.found:
-            return Verdict(found, self.fingerprint, *self.found, **self.fields)
+            return Verdict(found, self.fingerprint, *self.found,
+                           strategy=self.strategy)
         if self.complete:
             return Verdict(none, self.fingerprint)
         return Verdict(cut, self.fingerprint, detail=self.cut_note)
@@ -833,8 +835,7 @@ def _weighted(goal, regime, fingerprint, every):
         lambda extra: find_countermodel_delta(goal, extra, admissible_forced),
         goal, base)
     if found:
-        return _Search(found, fingerprint,
-                       {"weight_robust": True, "strategy": "forced"}, True)
+        return _Search(found, fingerprint, "forced", True)
 
     # extra -> the number of weightings of that rung's universe
     counts = {}
@@ -845,6 +846,9 @@ def _weighted(goal, regime, fingerprint, every):
         vals = _powerset(universe)
         if goal.backend == "oracle":  # every weighting's search would be cut
             _check_oracle_cap(len(vals))
+        if len(regime.grid) ** len(universe) > MAX_WEIGHT_CANDIDATES:
+            raise BudgetExceeded(f"weightings exceed cap "
+                                 f"{MAX_WEIGHT_CANDIDATES}")
         weightings = enumerate_weight_orders(universe, regime.weight_class,
                                              regime.grid)
         if not weightings:
@@ -866,9 +870,7 @@ def _weighted(goal, regime, fingerprint, every):
                               LADDER_RUNGS if every else 1)
     fingerprint["extras_searched"] = searched
     fingerprint["weightings"] = [counts[extra] for extra in searched]
-    fields = {"weight_robust": False, "weighting": found[0].weights,
-              "strategy": "per-weighting"} if found else {}
-    return _Search(found, fingerprint, fields, base in searched)
+    return _Search(found, fingerprint, "per-weighting", base in searched)
 
 
 def _find(goal, regime) -> _Search:
@@ -882,7 +884,7 @@ def _find(goal, regime) -> _Search:
         # search has searched every frame up to the cap.
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
-                       {}, False,
+                       None, False,
                        cut_note=None if complete else
                        f"frames of up to {ORACLE_WORLD_CAP} worlds searched; "
                        f"the oracle cap of {ORACLE_WORLD_CAP} worlds cut the "
@@ -893,7 +895,7 @@ def _find(goal, regime) -> _Search:
             lambda extra: find_countermodel_delta(goal, extra), goal, base)
         return _Search(found, {"regime": "delta", "extra_vars": base,
                                "extras_searched": searched},
-                       {}, base in searched)
+                       None, base in searched)
     if not isinstance(regime, WeightedRegime):
         raise TypeError(f"unknown regime {regime!r}")
     return _weighted(goal, regime,

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .documents import _typed
-from .engine import Goal, _assignment_masks
+from .engine import MAX_TAUTOLOGY_ATOMS, Goal
 from .syntax import (MAX_DEPTH, And, Bot, Box, Diamond, Formula, Iff, Implies,
                      MetaVar, Not, Or, PrefWeak, Top, Var, children, desugar,
                      fold, parse, pretty)
@@ -76,9 +76,6 @@ def apply_substitution(template: Formula, subst: dict) -> Formula:
 #: Truth-functional connectives: is_tautology_instance abstracts the rest
 _TRUTH_FUNCTIONAL = (Top, Bot, Not, And, Or, Implies, Iff)
 
-#: Most atoms a tautology check abstracts: it evaluates on masks of 2^k bits
-MAX_TAUTOLOGY_ATOMS = 20
-
 
 def is_tautology_instance(f: Formula) -> bool:
     """True iff f is a truth-functional tautology once its maximal modal and
@@ -98,14 +95,8 @@ def is_tautology_instance(f: Formula) -> bool:
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise ValueError(f"tautology check over {len(atoms)} atoms, more "
                          f"than {MAX_TAUTOLOGY_ATOMS}")
-    goal = Goal(desugar(abstracted))
-    # one run evaluates every assignment of the atoms: slot masks range
-    # over the 2^k assignments
-    k = len(goal.variables)
-    full = (1 << (1 << k)) - 1
-    values = goal.slots(dict(zip(goal.variables, _assignment_masks(k))))
-    goal.run(values, full)
-    return values[goal.root] == full
+    # a tautology is one whose negation no assignment of the atoms satisfies
+    return not Goal(desugar(Not(abstracted))).skeleton_holds()
 
 
 @dataclass(frozen=True)

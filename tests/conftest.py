@@ -2,10 +2,17 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from deolog.documents import model_from_doc
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# every property test runs the same examples on each run, keeps none between
+# runs and has no per-example deadline: a search's time varies with the host
+settings.register_profile("deolog", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deolog")
 
 
 @pytest.fixture(scope="session")

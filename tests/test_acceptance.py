@@ -98,7 +98,7 @@ def test_criterion_07_weighted_invalidities(report, capsys):
     shape_ok = False
     for label, text in robust_texts.items():
         v = check_forall_weights_invalidity(Sequent.parse(text))
-        ok = ok and v.kind == "invalid" and v.weight_robust
+        ok = ok and v.kind == "invalid" and v.strategy == "forced"
         # a forced pick is nearest under every weighting
         ok = ok and all(pick == forced_choice(w, prop) for (w, prop), pick
                         in v.countermodel.selection.items())

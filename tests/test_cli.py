@@ -222,6 +222,42 @@ class TestCheckCommand:
         assert "weight-robust: true" in r.stdout
         assert "countermodel:" in r.stdout
 
+    @pytest.mark.parametrize("sequent, lines, keys, fields", [
+        ("O(p -> q) |- O p -> O q",
+         ["verdict: invalid",
+          "fingerprint: regime=weighted, class=, grid=[1, 2, 3, 4, 5, 6, 7, "
+          "8, 9], extra_vars=0",
+          "weight-robust: true",
+          "witness: 01"],
+         ["verdict", "fingerprint", "witness", "countermodel", "weightRobust",
+          "strategy"],
+         {"weightRobust": True, "strategy": "forced"}),
+        ("O p |- O(p & q) | O(p & ~q)",
+         ["verdict: invalid",
+          "fingerprint: regime=weighted, class=, grid=[1, 2, 3, 4, 5, 6, 7, "
+          "8, 9], extra_vars=0, extras_searched=[0], weightings=[3]",
+          "weight-robust: false",
+          "weighting: p=1, q=1",
+          "witness: 10"],
+         ["verdict", "fingerprint", "witness", "countermodel", "weightRobust",
+          "strategy", "weighting"],
+         {"weightRobust": False, "strategy": "per-weighting",
+          "weighting": {"p": "1", "q": "1"}}),
+    ])
+    def test_weighted_output_fields(self, sequent, lines, keys, fields):
+        # one forced and one per-weighting verdict, in text and in JSON
+        r = run_cli("check", sequent, "--regime", "weighted")
+        assert r.returncode == 1
+        assert r.stdout.splitlines()[:len(lines)] == lines
+        assert r.stdout.splitlines()[len(lines)] == "countermodel:"
+        r = run_cli("check", sequent, "--regime", "weighted", "--json")
+        assert r.returncode == 1
+        doc = json.loads(r.stdout)
+        assert list(doc) == keys
+        assert {key: doc[key] for key in fields} == fields
+        # the weighting is the countermodel's own
+        assert doc["countermodel"].get("weights") == fields.get("weighting")
+
     def test_basic_valid(self):
         r = run_cli("check", "|- ~(O T)", "--regime", "basic",
                     "--max-worlds", "4")
@@ -266,6 +302,14 @@ class TestCheckCommand:
                     "weighted", "--grid", grid)
         assert r.returncode == 3
         assert "grid" in r.stderr
+
+    def test_grid_over_the_cap_is_refused_unbuilt(self):
+        # a tuple of 10^9 weights would take minutes and gigabytes
+        r = run_cli("check", "O p |- O q", "--regime", "weighted", "--grid",
+                    "1..1000000000", timeout=30)
+        assert r.returncode == 3
+        assert r.stderr == ("error: weight grid of 1000000000 weights exceeds "
+                            "cap 100000\n")
 
     def test_zero_max_worlds(self):
         r = run_cli("check", "|- p", "--regime", "basic",

@@ -112,7 +112,7 @@ def _models(draw):
     return Model(universe, worlds, utility, selection, mode, weights)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(model=_models())
 def test_dumps_model_is_json_dumps(model):
     text = dumps_model(model)
@@ -120,7 +120,7 @@ def test_dumps_model_is_json_dumps(model):
     assert dumps_model(loads_model(text)) == text
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(model=_models(), formulas=st.lists(st.sampled_from(["T", "F"]),
                                           max_size=2))
 def test_dumps_model_of_formula_and_unsorted_cells(model, formulas):

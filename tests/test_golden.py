@@ -69,13 +69,14 @@ EXTRA = {
 
 
 def verdict_entry(verdict):
+    weighting = getattr(verdict.countermodel, "weights", None)
     return {
         "verdict": verdict.kind,
         "fingerprint": verdict.fingerprint,
         "witness": verdict.witness.name if verdict.witness else None,
         "strategy": verdict.strategy,
-        "weighting": None if verdict.weighting is None else
-        {v: str(x) for v, x in verdict.weighting.items()},
+        "weighting": None if weighting is None else
+        {v: str(x) for v, x in weighting.items()},
         "model": None if verdict.countermodel is None else
         model_to_doc(verdict.countermodel),
     }

@@ -330,7 +330,7 @@ def _messy_delta_model(universe, rng, stray, weights):
     return Model(universe, worlds, utility, selection, "delta", weights)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 3),
        stray=st.sampled_from([0.0, 0.2, 0.6]),
        weights=st.none() | st.dictionaries(
@@ -421,7 +421,7 @@ def _outcome(evaluate):
         return None
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(formula=_core_formulas(("p", "q", "r")), seed=st.integers(0, 2 ** 32),
        three=st.booleans())
 def test_evaluator_agrees_with_tree_walk(formula, seed, three):
@@ -436,7 +436,7 @@ def test_evaluator_agrees_with_tree_walk(formula, seed, three):
     assert ev.denote(formula) == expected
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(formula=_core_formulas(("p", "q")), seed=st.integers(0, 2 ** 32),
        keep=st.sampled_from([0.3, 0.8, 0.95]))
 def test_evaluator_needs_the_cells_the_tree_walk_needs(formula, seed, keep):

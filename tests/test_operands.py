@@ -178,7 +178,7 @@ def _extend(kids):
 FORMULAS = st.recursive(_LEAVES, _extend, max_leaves=10)
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(FORMULAS)
 def test_walks_agree_with_the_per_class_walkers(f):
     core = desugar(f)
@@ -202,7 +202,7 @@ def test_walks_agree_with_the_per_class_walkers(f):
                           if op[0] == _PREF]
 
 
-@settings(derandomize=True, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(schema=st.sampled_from(sorted(k for k, v in SCHEMAS.items() if v)),
        first=st.fixed_dictionaries({n: FORMULAS
                                     for n in ("phi", "psi", "theta")}),

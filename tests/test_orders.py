@@ -85,7 +85,7 @@ def _floyd_warshall_ranks(atoms):
 WORLDS = [_w(str(i)) for i in range(8)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.sampled_from(WORLDS), st.sampled_from(WORLDS),
                           st.booleans()), max_size=12))
 def test_solver_matches_floyd_warshall(triples):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deolog.syntax import (And, Bot, Iff, Implies, Not, Or, Top, Var, parse)
-from deolog import proofs
+from deolog import engine
 from deolog.proofs import (MAX_TAUTOLOGY_ATOMS, SCHEMAS, MetaVar, Step,
                            apply_substitution, check_derivation,
                            is_tautology_instance, match_schema,
@@ -75,7 +75,7 @@ class TestTautologyInstance:
         def no_masks(k):
             raise AssertionError(f"masks built for {k} atoms")
 
-        monkeypatch.setattr(proofs, "_assignment_masks", no_masks)
+        monkeypatch.setattr(engine, "_assignment_masks", no_masks)
         names = [f"a{i}" for i in range(MAX_TAUTOLOGY_ATOMS + 1)]
         f = parse(" & ".join(names) + " -> a0")
         with pytest.raises(ValueError, match="more than"):
@@ -135,7 +135,7 @@ _BOOLEAN_OVER_ATOMS = st.recursive(
     max_leaves=8)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(_BOOLEAN_OVER_ATOMS)
 def test_tautology_instance_matches_truth_table(f):
     assert is_tautology_instance(f) == _truth_table_tautology(f)

@@ -232,7 +232,7 @@ def _build(spec):
     return _BUILDERS[kind](_build(a), _build(b))
 
 
-@settings(derandomize=True, database=None, max_examples=200)
+@settings(max_examples=200)
 @given(_SPECS)
 def test_equal_trees_hash_and_compare_equal(spec):
     first, second = _build(spec), _build(spec)
@@ -302,7 +302,7 @@ def test_parse_outcomes_match_the_pinned_corpus():
         assert _outcome(text) == outcome, text
 
 
-@settings(derandomize=True, database=None, max_examples=500)
+@settings(max_examples=500)
 @given(st.lists(st.sampled_from(_SOUP), max_size=16),
        st.sampled_from(["", " "]))
 def test_token_soup_parses_or_raises_parse_error(tokens, separator):
