@@ -66,14 +66,12 @@ solving every combination would.
 A basic frame is a multiset of valuations, and swapping two worlds of one
 valuation maps the frame to itself: every admissibility policy reads only
 the valuation of the world it picks at, and admissible_basic not even that.
-So each frame is searched only up to those swaps. The rank solver searches
-one row per valuation, the first world that has it, and memoises a row's
-patterns per frame. The oracle takes the weak orders in enumeration order
-and searches only the first of each orbit: it skips an order when an
-earlier one gave the worlds of each valuation the same multiset of ranks,
-single worlds included. A model at any member of an orbit, or at any row of
-a valuation, maps to one at the first, which is searched earlier, so the
-first model found is the one a search of every case would find. Those orbit
+So the oracle searches each frame only up to those swaps. It takes the weak
+orders in enumeration order and searches only the first of each orbit: it
+skips an order when an earlier one gave the worlds of each valuation the
+same multiset of ranks, single worlds included. A model at any member of an
+orbit maps to one at the first, which is searched earlier, so the first
+model found is the one a search of every order would find. Those orbit
 orders depend only on which worlds share a valuation, the frame's _pattern,
 so Goal.orbits draws them once per pattern and decision, and only as far as
 some frame's search reads them: a first model costs the orders before it.
@@ -84,11 +82,10 @@ over all valuations per Goal and universe, cut to the set), the atoms fixed
 by existential import or equal cells and the free ones, the cells as masks
 over valuations with their sides, and each row's satisfying assignments.
 _cells_of derives it once per Goal and set, a mask over the 2^n valuations,
-and every frame over the set maps its cells to world indices; on the power
-set, where world j has valuation j, they are the same masks, so every
-weighting of a rung shares one. find_countermodel_basic decides once per set
-whether any frame over it can hold a model, and skips every frame over a set
-that cannot. Two facts make the skip exact. Repeats only add patterns: rows,
+and every frame over the set maps its cells to world indices, so every
+weighting of a rung shares the power set's. find_countermodel_basic decides
+once per set whether any frame over it can hold a model, and skips every
+frame over a set that cannot. Two facts make the skip exact. Repeats only add patterns: rows,
 cells and satisfying assignments stay, and every pick of a frame is still a
 pick once a valuation is repeated. And the pattern in which every cell
 picks a world of its own relaxes all the others, since ranks solving any
@@ -428,15 +425,9 @@ def _orbit_orders(vals):
     the worlds of each valuation a multiset of ranks no earlier order gave
     them. Every valuation counts, single worlds too."""
     n = len(vals)
-    ranks = ([order[j] for j in range(n)]
-             for order in bruteforce_weak_orders(range(n)))
-    if len(set(vals)) == n:
-        # every orbit is one order, as in every delta frame: keys would
-        # only cost time
-        yield from ranks
-        return
     seen = set()
-    for rank in ranks:
+    for order in bruteforce_weak_orders(range(n)):
+        rank = [order[j] for j in range(n)]
         # the sorted (valuation, rank) pairs: each valuation's multiset
         key = tuple(sorted(zip(vals, rank)))
         if key not in seen:
@@ -524,40 +515,24 @@ def _solver_search(universe, vals, goal, admissible):
     a falsifying utility is a solution of rank comparisons among the picked
     worlds of the witness row. Returns the rank list, selection and witness
     index (see _search_worlds) of the first allowed combination, or None."""
-    if vals == _powerset(universe):
-        # world j has valuation j, so valuation masks are world masks
-        structure = _cells_of(goal, universe, (1 << len(vals)) - 1)
-        cells = structure.cells
-        rows = enumerate(vals)
-    else:
-        # valuation -> the mask of the worlds that have it, in frame order
-        worlds_of = {}
-        for j, val in enumerate(vals):
-            worlds_of[val] = worlds_of.get(val, 0) | 1 << j
-        structure = _cells_of(goal, universe,
-                              sum(1 << val for val in worlds_of))
-        cells = tuple(sum(worlds_of[val] for val in _bits(cell))
-                      for cell in structure.cells)
-        # one row per valuation, the first world that has it
-        rows = [((mask & -mask).bit_length() - 1, val)
-                for val, mask in worlds_of.items()]
+    # valuation -> the mask of the worlds that have it
+    worlds_of = {}
+    for j, val in enumerate(vals):
+        worlds_of[val] = worlds_of.get(val, 0) | 1 << j
+    structure = _cells_of(goal, universe, sum(1 << val for val in worlds_of))
+    cells = tuple(sum(worlds_of[val] for val in _bits(cell))
+                  for cell in structure.cells)
     sides = structure.sides
-    # a row's pick-index lists -> its set of patterns; in a basic frame every
-    # row has the same lists
-    patterns_of = {}
-    for x, val in rows:
+    for x, val in enumerate(vals):
         satisfying = structure.satisfying[val]
         if not satisfying:
             continue
         pick_lists = tuple(admissible(vals, x, cell) for cell in cells)
         if not all(pick_lists):
             continue
-        patterns = patterns_of.get(pick_lists)
-        if patterns is None:
-            patterns = patterns_of[pick_lists] = set(
-                map(_pattern, itertools.product(*pick_lists)))
         allowed = {pattern: goal.allowed(sides, pattern, satisfying)
-                   for pattern in patterns}
+                   for pattern in set(map(_pattern,
+                                          itertools.product(*pick_lists)))}
         for t in _bits(functools.reduce(int.__or__, allowed.values())):
             for combo in itertools.product(*pick_lists):
                 if not allowed[_pattern(combo)] >> t & 1:
@@ -659,17 +634,15 @@ def _oracle_search(universe, vals, goal, admissible):
             if not rests[key]:
                 return None
         # each world's branches (left pick, right pick, its bit if the atom
-        # holds). Equal-rank picks are interchangeable: dedupe them by rank,
-        # or by truth alone once no later atom can reuse a cell
+        # holds). Equal-rank picks are interchangeable: dedupe them by rank
         branches = []
         for j, (lefts, rights) in enumerate(options):
             by_key = {}
             for xl in lefts:
                 for xr in rights:
                     ranks = (rank[xl], rank[xr])
-                    truth = ranks[0] >= ranks[1]
-                    by_key.setdefault(ranks if later else truth,
-                                      (xl, xr, truth << j))
+                    by_key.setdefault(ranks, (xl, xr,
+                                              (ranks[0] >= ranks[1]) << j))
             if not by_key:
                 return None
             branches.append(list(by_key.values()))

@@ -927,7 +927,7 @@ def test_one_goal_searches_each_frame_as_a_fresh_goal_does(formula):
             _oracle_search(PQ, vals, Goal(formula), admissible_basic)
 
 
-def test_solver_searches_one_row_per_valuation():
+def test_solver_searches_every_world_as_a_row():
     # worlds 00, 00#1, 01 and 01#1
     vals = (0, 0, 1, 1)
     rows = []
@@ -938,8 +938,8 @@ def test_solver_searches_one_row_per_valuation():
 
     goal = Goal(Not(PrefWeak(Var("q"), Not(Var("q")))))
     assert _solver_search(PQ, vals, goal, no_picks) is None
-    # both cells are asked at each row searched: worlds 00 and 01
-    assert rows == [0, 0, 2, 2]
+    # both cells are asked at each row, in index order
+    assert rows == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 # --- Basic valuation sets decided once ---------------------------------------
