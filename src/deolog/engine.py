@@ -85,15 +85,17 @@ _cells_of derives it once per Goal and set, a mask over the 2^n valuations,
 and every frame over the set maps its cells to world indices, so every
 weighting of a rung shares the power set's. find_countermodel_basic decides
 once per set whether any frame over it can hold a model, and skips every
-frame over a set that cannot. Two facts make the skip exact. Repeats only add patterns: rows,
-cells and satisfying assignments stay, and every pick of a frame is still a
-pick once a valuation is repeated. And the pattern in which every cell
-picks a world of its own relaxes all the others, since ranks solving any
-pattern's constraints give each cell the rank of its pick. So when that
-pattern is orderable under no assignment satisfying some row of the set
-(Goal.allowed, on the same memo as the pick walk), no pattern of any
-frame over the set is, and the solver would return None on each of them.
-The other frames are searched as before, so the first model is unchanged.
+frame over a set that cannot. Two facts make the skip exact. Repeats only
+add patterns: rows, cells and satisfying assignments stay, and every pick of
+a frame is still a pick once a valuation is repeated. And the pattern in
+which every cell picks a world of its own relaxes all the others, since
+ranks solving any pattern's constraints give each cell the rank of its pick.
+So when that pattern is orderable under no assignment satisfying some row of
+the set (Goal.allowed, on the same memo as the pick walk), no pattern of any
+frame over the set is, and the solver would return None on each of them. The
+other frames are searched as before, so the first model is unchanged. Frames
+of 2^n worlds decide every set, so once none of those sets can hold a model,
+the search stops.
 
 The oracle decides per mask the last atom that reads a selection cell. Once
 no later atom reads a cell (Goal.later_cells), the rest of the goal depends
@@ -723,6 +725,10 @@ def find_countermodel_basic(goal, max_worlds):
                                    "basic")
             if found:
                 return found
+        if (solver and count == 1 << len(universe)
+                and not any(goal.basic_sets.values())):
+            # every set of valuations is decided, and none can hold a model
+            return None
     return None
 
 
@@ -824,8 +830,6 @@ def _weighted(goal, regime, fingerprint, every):
                                  f"{MAX_WEIGHT_CANDIDATES}")
         weightings = enumerate_weight_orders(universe, regime.weight_class,
                                              regime.grid)
-        if not weightings:
-            raise ValueError("weight class unsatisfiable on the grid")
         counts[extra] = len(weightings)
         first = None
         for weighting in weightings:

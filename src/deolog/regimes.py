@@ -43,15 +43,25 @@ class WeightClass:
 
     def is_satisfiable(self) -> bool:
         """False iff the constraint graph has a cycle (empty class)."""
+        return self.weights_needed() is not None
+
+    def weights_needed(self) -> int | None:
+        """The number of distinct weights its longest strict chain needs,
+        which is the fewest any weighting satisfying the class uses, or None
+        when the constraint graph has a cycle."""
         import graphlib
         graph = {}
         for a, b in self.constraints:
             graph.setdefault(a, set()).add(b)
+        # each variable's chain length, lighter variables first
+        chain = {}
         try:
-            graphlib.TopologicalSorter(graph).prepare()
+            for v in graphlib.TopologicalSorter(graph).static_order():
+                chain[v] = 1 + max((chain[b] for b in graph.get(v, ())),
+                                   default=0)
         except graphlib.CycleError:
-            return False
-        return True
+            return None
+        return max(chain.values(), default=0)
 
     def admits(self, weighting) -> bool:
         return all(weighting[a] > weighting[b] for a, b in self.constraints)
@@ -116,9 +126,15 @@ class WeightedRegime:
         if min(self.grid) <= 0:
             raise ValueError("weights on the grid must be positive")
         _check_extra_variables(self.extra_variables)
-        if not self.weight_class.is_satisfiable():
+        needed = self.weight_class.weights_needed()
+        if needed is None:
             raise ValueError(f"weight class {self.weight_class} is cyclic: "
                              f"no weighting satisfies it")
+        if needed > len(set(self.grid)):
+            raise ValueError(f"weight class {self.weight_class} needs "
+                             f"{needed} distinct weights, the grid has "
+                             f"{len(set(self.grid))}: no weighting on the "
+                             f"grid satisfies it")
 
 
 def check_weighting(weighting, universe):

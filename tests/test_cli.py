@@ -296,6 +296,19 @@ class TestCheckCommand:
         assert "cyclic" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ("sat", "O p", "--class", "p>q,q>r"),
+        ("check", "|- O p", "--class", "x>y,y>z"),
+        ("check", "O p |- O(p & q) | O(p & ~q)", "--class", "x>y,y>z")])
+    def test_class_off_the_grid(self, args):
+        # a chain of three variables needs three distinct weights, and no
+        # weighting on the grid 1,2 has them, whether or not a forced model
+        # exists
+        r = run_cli(*args, "--regime", "weighted", "--grid", "1,2")
+        assert r.returncode == 3
+        assert "needs 3 distinct weights, the grid has 2" in r.stderr
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("grid", ["0..2", "3..1", "-1,2"])
     def test_bad_grid(self, grid):
         r = run_cli("check", "O p |- O(p & q) | O(p & ~q)", "--regime",
@@ -310,6 +323,18 @@ class TestCheckCommand:
         assert r.returncode == 3
         assert r.stderr == ("error: weight grid of 1000000000 weights exceeds "
                             "cap 100000\n")
+
+    @pytest.mark.parametrize("sequent, max_worlds", [
+        ("|- p | ~p", 1000), ("|- p | ~p", 3000),
+        ("p >= q ; q >= r |- p >= r", 20), ("p >= q ; q >= r |- p >= r", 30)])
+    def test_basic_search_stops_once_every_valuation_set_is_hopeless(
+            self, sequent, max_worlds):
+        # frames of 2^n worlds decide every set of valuations; no larger
+        # frame is built when none of them can hold a model
+        r = run_cli("check", sequent, "--regime", "basic", "--max-worlds",
+                    str(max_worlds), timeout=10)
+        assert r.returncode == 0
+        assert "verdict: qualified-valid" in r.stdout
 
     def test_zero_max_worlds(self):
         r = run_cli("check", "|- p", "--regime", "basic",

@@ -260,13 +260,11 @@ class TestWeightedSearch:
         assert (v.kind, v.strategy) == ("invalid", "forced")
         assert "weightings" not in v.fingerprint
 
-    def test_class_off_the_grid_needs_no_weighting_for_a_forced_model(self):
-        # p>q is satisfiable, but not by a weighting on the grid (1,)
-        regime = WeightedRegime(WeightClass.parse("p>q"), (1,))
-        v = check(Sequent.parse("O(p & q) |- O q"), regime)
-        assert (v.kind, v.strategy) == ("invalid", "forced")
-        with pytest.raises(ValueError, match="unsatisfiable on the grid"):
-            check(Sequent.parse("p ; q |- O(p & q)"), regime)
+    def test_class_off_the_grid_is_refused(self):
+        # p>q is satisfiable, but not by a weighting on the grid (1,), so no
+        # weighted model exists, forced or not
+        with pytest.raises(ValueError, match="needs 2 distinct weights"):
+            WeightedRegime(WeightClass.parse("p>q"), (1,))
 
 
 class TestSatisfiable:
@@ -417,6 +415,34 @@ def test_delta_verdicts_carry_across_regimes(premises, conclusion):
         # the power set over {p, q} is a basic frame of at most four worlds
         assert delta == "invalid"
         assert check(sequent, BASIC4).kind == "invalid"
+
+
+def _delta_valid_is_weighted_valid(premises, conclusion, classes):
+    # Fact 1 beyond modal depth 1 and beyond {p, q}
+    sequent = Sequent(tuple(premises), conclusion)
+    if check(sequent, DELTA0).kind == "valid":
+        for text in classes:
+            regime = WeightedRegime(WeightClass.parse(text))
+            assert check(sequent, regime).kind == "valid"
+
+
+# each example is refuted under weighted picks that are not delta picks
+@settings(max_examples=80)
+@given(premises=st.lists(_depth2(("p", "q")), max_size=2),
+       conclusion=_depth2(("p", "q")))
+@example(premises=[parse("O O ~p"), parse("~q"), parse("O (p | q)")],
+         conclusion=parse("O(~p & q)"))
+def test_depth2_delta_valid_is_weighted_valid(premises, conclusion):
+    _delta_valid_is_weighted_valid(premises, conclusion, ("", "q>p"))
+
+
+@settings(max_examples=80)
+@given(premises=st.lists(_depth1_surface(("p", "q", "r")), max_size=2),
+       conclusion=_depth1_surface(("p", "q", "r")))
+@example(premises=[parse("O ~p"), parse("~q & r"), parse("O(p | q)")],
+         conclusion=parse("O q"))
+def test_three_variable_delta_valid_is_weighted_valid(premises, conclusion):
+    _delta_valid_is_weighted_valid(premises, conclusion, ("", "q>p,q>r"))
 
 
 # --- Every model re-verified at one boundary ---------------------------------

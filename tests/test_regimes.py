@@ -158,6 +158,24 @@ class TestWeightClass:
         with pytest.raises(ValueError, match="cyclic"):
             WeightedRegime(WeightClass.parse(text))
 
+    @pytest.mark.parametrize("text, needed", [
+        ("", 0), ("p>q", 2), ("p>q,q>r", 3), ("p>q,p>r", 2),
+        ("p>q,q>r,p>s,s>t,t>r", 4)])
+    def test_weights_needed_is_the_longest_chain(self, text, needed):
+        wc = WeightClass.parse(text)
+        assert wc.weights_needed() == needed
+        # the fewest grid values with a weighting satisfying the class
+        universe = sorted(wc.variables())
+        fewest = min(size for size in range(len(universe) + 1)
+                     if enumerate_weight_orders(universe, wc,
+                                                tuple(range(1, size + 1))))
+        assert fewest == needed
+        if needed:
+            WeightedRegime(wc, tuple(range(1, needed + 1)))
+            # as many weights, one of them repeated
+            with pytest.raises(ValueError, match="distinct weights"):
+                WeightedRegime(wc, (1,) + tuple(range(1, needed)))
+
     def test_admits(self):
         wc = WeightClass.parse("q>p")
         assert wc.admits({"p": 1, "q": 2})
