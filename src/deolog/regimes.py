@@ -130,11 +130,12 @@ class WeightedRegime:
         if needed is None:
             raise ValueError(f"weight class {self.weight_class} is cyclic: "
                              f"no weighting satisfies it")
-        if needed > len(set(self.grid)):
+        distinct = len(set(self.grid))
+        if needed > distinct:
             raise ValueError(f"weight class {self.weight_class} needs "
                              f"{needed} distinct weights, the grid has "
-                             f"{len(set(self.grid))}: no weighting on the "
-                             f"grid satisfies it")
+                             f"{distinct}: no weighting on the grid "
+                             f"satisfies it")
 
 
 def check_weighting(weighting, universe):
