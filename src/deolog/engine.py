@@ -107,10 +107,13 @@ below the atom, deciding each mask by the walk from the next atom, which
 reads no cell. It walks the atom's pick branches only when one does, so the
 first model and its selection are unchanged.
 
-A world of any model gives each variable and preference slot a truth value.
-So when no truth assignment to those slots satisfies the root
-(Goal.skeleton_holds, decided once per Goal), the oracle refutes every
-frame after its cap check, which keeps every cut.
+A world of any model gives each variable and preference slot a truth value,
+and a preference atom with an operand that no assignment satisfies is false
+at every world: the operand denotes the empty set in every model
+(existential import). So when no truth assignment to those slots, such
+atoms false, satisfies the root (Goal.skeleton_holds, decided once per
+Goal), the oracle refutes every frame after its cap check, which keeps
+every cut.
 
 Frames are sequences of valuation ints, as in regimes: a basic frame is a
 sorted combination of valuations, the power set range(2^n). The mask
@@ -319,15 +322,25 @@ class Goal:
 
     def skeleton_holds(self) -> bool:
         """Whether the root holds under some truth assignment to the variable
-        and preference slots, read as free atoms; if not, no world of any
-        model satisfies the goal. True, untried, over MAX_TAUTOLOGY_ATOMS."""
+        and preference slots, read as free atoms, an atom with an operand no
+        assignment satisfies being false (existential import); if not, no
+        world of any model satisfies the goal. True, untried, over
+        MAX_TAUTOLOGY_ATOMS."""
         free = [i for i, op in enumerate(self.code) if op[0] in (_VAR, _PREF)]
         if len(free) > MAX_TAUTOLOGY_ATOMS:
             return True
         values = [0] * len(self.code)
         for slot, mask in zip(free, _assignment_masks(len(free))):
             values[slot] = mask
-        self.run(values, (1 << (1 << len(free))) - 1)
+        full = (1 << (1 << len(free))) - 1
+        start = 0
+        for slot, l, r in self.atoms:
+            self.run(values, full, start, slot)
+            if not values[l] or not values[r]:
+                # the operand denotes the empty set in every model
+                values[slot] = 0
+            start = slot
+        self.run(values, full, start)
         return values[self.root] != 0
 
     @classmethod
@@ -444,7 +457,6 @@ class _Cells(NamedTuple):
     sides: tuple        # each free atom's (left, right) index into cells
     satisfying: dict    # valuation -> mask of the free atoms' assignments
                         # satisfying the goal at a world of that valuation
-    assignments: int    # the union of the satisfying masks
 
 
 def _cells_of(goal, universe, valset):
@@ -483,7 +495,6 @@ def _cells_of(goal, universe, valset):
                   for _, left, right in free)
     status = tuple(fixed.get(slot) for slot, _, _ in goal.atoms)
     satisfying = {}
-    assignments = 0
     for val in _bits(valset):
         # the row's truth over the goal's variables, read off their masks
         row = tuple(den[slot] >> val & 1 for slot, _ in goal.var_slots)
@@ -496,9 +507,7 @@ def _cells_of(goal, universe, valset):
             goal.run(values, everything)
             mask = goal.satisfying[(status, row)] = values[goal.root]
         satisfying[val] = mask
-        assignments |= mask
-    got = goal.cells[key] = _Cells(tuple(cells), sides, satisfying,
-                                   assignments)
+    got = goal.cells[key] = _Cells(tuple(cells), sides, satisfying)
     return got
 
 
@@ -509,7 +518,8 @@ def _can_hold(goal, universe, valset):
     rank constraints relax those of every other pattern."""
     structure = _cells_of(goal, universe, valset)
     return goal.allowed(structure.sides, tuple(range(len(structure.cells))),
-                        structure.assignments) != 0
+                        functools.reduce(int.__or__,
+                                         structure.satisfying.values())) != 0
 
 
 def _solver_search(universe, vals, goal, admissible):

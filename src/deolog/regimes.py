@@ -41,10 +41,6 @@ class WeightClass:
     def variables(self):
         return {v for pair in self.constraints for v in pair}
 
-    def is_satisfiable(self) -> bool:
-        """False iff the constraint graph has a cycle (empty class)."""
-        return self.weights_needed() is not None
-
     def weights_needed(self) -> int | None:
         """The number of distinct weights its longest strict chain needs,
         which is the fewest any weighting satisfying the class uses, or None
@@ -62,9 +58,6 @@ class WeightClass:
         except graphlib.CycleError:
             return None
         return max(chain.values(), default=0)
-
-    def admits(self, weighting) -> bool:
-        return all(weighting[a] > weighting[b] for a, b in self.constraints)
 
     @classmethod
     def parse(cls, text: str) -> "WeightClass":
@@ -276,27 +269,21 @@ def _subset_sum_signature(weights):
 def enumerate_weight_orders(universe, weight_class: WeightClass,
                             grid=DEFAULT_GRID) -> list[dict]:
     """All weightings over the grid satisfying the class, deduplicated so no
-    two returned weightings induce the same weak order on subset sums.
+    two returned weightings induce the same weak order on subset sums: the
+    first value tuple in itertools.product order represents each weak order.
 
     Returns an empty list when the class is unsatisfiable on the grid.
     """
     universe = tuple(universe)
-    if not weight_class.is_satisfiable():
-        return []
     unknown = weight_class.variables() - set(universe)
     if unknown:
         raise ValueError(
             "weight class mentions variables outside the universe: "
             + ", ".join(sorted(unknown)))
-    seen = set()
-    out = []
+    index = {v: i for i, v in enumerate(universe)}
+    pairs = [(index[a], index[b]) for a, b in weight_class.constraints]
+    kept = {}
     for values in itertools.product(grid, repeat=len(universe)):
-        weighting = dict(zip(universe, values))
-        if not weight_class.admits(weighting):
-            continue
-        sig = _subset_sum_signature(values)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        out.append(weighting)
-    return out
+        if all(values[a] > values[b] for a, b in pairs):
+            kept.setdefault(_subset_sum_signature(values), values)
+    return [dict(zip(universe, values)) for values in kept.values()]

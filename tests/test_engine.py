@@ -1358,13 +1358,19 @@ def _drawing_weak_orders(monkeypatch):
 
 
 def test_propositional_contradiction_draws_no_weak_order(monkeypatch):
-    # the goal reads the atom O O (q & p) both ways, so no assignment of its
-    # atoms satisfies it, and the oracle refutes each frame before drawing
-    # an order: the 4-world frames' orders used to take about 30 s
+    # the first goal reads the atom O O (q & p) both ways, so no assignment
+    # of its atoms satisfies it, and the oracle refutes each frame before
+    # drawing an order: the 4-world frames' orders used to take about 30 s.
+    # In the second, p > p is empty in every model, so its O atom is false
+    # by existential import: Basic{5} used to take over 60 s
     drawn = _drawing_weak_orders(monkeypatch)
-    v = check(Sequent.parse("O O (q & p) |- O O (q & p)"), BASIC4)
-    assert (v.kind, v.fingerprint, v.detail) == \
-        ("qualified-valid", {"regime": "basic", "max_worlds": 4}, None)
+    for text, max_worlds in [("O O (q & p) |- O O (q & p)", 4),
+                             ("O (p > p) |- (q > q) & (q > ~p)", 4),
+                             ("O (p > p) |- (q > q) & (q > ~p)", 5)]:
+        v = check(Sequent.parse(text), BasicRegime(max_worlds))
+        assert (v.kind, v.fingerprint, v.detail) == \
+            ("qualified-valid", {"regime": "basic", "max_worlds": max_worlds},
+             None)
     assert drawn == []
 
 
@@ -1376,6 +1382,8 @@ def test_propositional_contradiction_draws_no_weak_order(monkeypatch):
          regime=DELTA0)
 @example(premises=[parse("P O p"), parse("~P O p")], conclusion=parse("q"),
          regime=BasicRegime(2))
+@example(premises=[parse("O (p > p)")],
+         conclusion=parse("(q > q) & (q > ~p)"), regime=BasicRegime(2))
 def test_skeleton_prune_keeps_every_verdict(premises, conclusion, regime):
     sequent = Sequent(tuple(premises), conclusion)
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deolog.models import Model, World, powerset_worlds, validate_model
 from deolog.regimes import (DEFAULT_GRID, WeightClass, WeightedRegime,
@@ -150,7 +151,7 @@ class TestWeightClass:
 
     def test_cycle_unsatisfiable(self):
         wc = WeightClass.parse("p>q,q>p")
-        assert not wc.is_satisfiable()
+        assert wc.weights_needed() is None
         assert enumerate_weight_orders(("p", "q"), wc, (1, 2, 3)) == []
 
     @pytest.mark.parametrize("text", ["p>p", "p>q,q>p", "p>q,q>r,r>p"])
@@ -175,11 +176,6 @@ class TestWeightClass:
             # as many weights, one of them repeated
             with pytest.raises(ValueError, match="distinct weights"):
                 WeightedRegime(wc, (1,) + tuple(range(1, needed)))
-
-    def test_admits(self):
-        wc = WeightClass.parse("q>p")
-        assert wc.admits({"p": 1, "q": 2})
-        assert not wc.admits({"p": 2, "q": 2})
 
 
 class TestEnumerateWeightOrders:
@@ -214,13 +210,14 @@ class TestEnumerateWeightOrders:
 
 
 def _summed_weight_orders(universe, weight_class, grid):
-    """enumerate_weight_orders as it was, summing each subset's weights on
-    its own."""
+    """enumerate_weight_orders as it was, checking the class on each
+    weighting and summing each subset's weights on its own."""
     seen = set()
     out = []
     for values in itertools.product(grid, repeat=len(universe)):
         weighting = dict(zip(universe, values))
-        if not weight_class.admits(weighting):
+        if any(weighting[a] <= weighting[b]
+               for a, b in weight_class.constraints):
             continue
         sums = [sum(weighting[v] for v in combo)
                 for r in range(len(universe) + 1)
@@ -233,6 +230,29 @@ def _summed_weight_orders(universe, weight_class, grid):
     return out
 
 
+# ints and Fractions, some of whose subset sums tie across the two
+_GRID_VALUES = (1, 2, 3, 4, 5, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2),
+                Fraction(4, 3), Fraction(7, 4))
+
+
+@st.composite
+def _weight_cases(draw):
+    """A universe of 1-4 variables in any order, a class of 0-3 pairs among
+    them (cycles included) and a grid of 1-4 values, ints and Fractions,
+    repeated and in any order."""
+    universe = tuple(draw(st.permutations("pqrs"))[:draw(st.integers(1, 4))])
+    n = len(universe)
+    # the lighter variable is step places after the heavier, cyclically, so
+    # only a universe of one variable has self-loops
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(min(1, n - 1), n - 1)),
+                          max_size=3))
+    pairs = [(universe[i], universe[(i + step) % n]) for i, step in steps]
+    grid = draw(st.lists(st.sampled_from(_GRID_VALUES), min_size=1,
+                         max_size=4))
+    return universe, WeightClass(tuple(pairs)), tuple(grid)
+
+
 @pytest.mark.parametrize("universe, text, grid", [
     (("p", "q", "r"), "q>p,q>r", DEFAULT_GRID),
     (("p", "q", "r", "s"), "", (1, 2, 3, 5, 8)),
@@ -243,6 +263,12 @@ def test_weight_orders_match_summing_each_subset(universe, text, grid):
     weight_class = WeightClass.parse(text)
     assert enumerate_weight_orders(universe, weight_class, grid) == \
         _summed_weight_orders(universe, weight_class, grid)
+
+
+@settings(max_examples=100)
+@given(case=_weight_cases())
+def test_drawn_weight_orders_match_summing_each_subset(case):
+    assert enumerate_weight_orders(*case) == _summed_weight_orders(*case)
 
 
 def test_subset_sums_index_weights_by_bit():
