@@ -100,12 +100,14 @@ def _parse_grid(text):
 
 
 def _regime_from_args(args):
-    if args.regime == "basic":
-        return BasicRegime(args.max_worlds)
-    if args.regime == "delta":
-        return DeltaRegime(args.extra_vars)
-    return WeightedRegime(WeightClass.parse(args.weight_class),
-                          _parse_grid(args.grid), args.extra_vars)
+    """The regime --regime names; every regime is built from the flags, so
+    a bad flag is a usage error whichever regime it belongs to."""
+    built = {"basic": BasicRegime(args.max_worlds),
+             "delta": DeltaRegime(args.extra_vars),
+             "weighted": WeightedRegime(WeightClass.parse(args.weight_class),
+                                        _parse_grid(args.grid),
+                                        args.extra_vars)}
+    return built[args.regime]
 
 
 def _out(text):

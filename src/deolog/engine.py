@@ -256,6 +256,8 @@ class Goal:
         # a slot without comparing trees
         slots = {}
         code = []
+        # each slot's modal depth, appended by the compile walk as it makes it
+        depths = []
 
         def compile_node(f, operands):
             kind = _OPCODES.get(type(f))
@@ -271,19 +273,13 @@ class Goal:
             if slot is None:
                 slots[op] = slot = len(code)
                 code.append(op)
+                depths.append(0 if kind == _VAR else
+                              max(depths[operands[0]], depths[operands[-1]])
+                              + (kind == _PREF))
             return slot
 
         self.root = syntax.fold(formula, compile_node)
         self.code = code
-        # modal depth of each slot; children come first
-        depths = []
-        for kind, a, b in code:
-            if kind == _VAR:
-                depths.append(0)
-            elif kind == _NOT:
-                depths.append(depths[a])
-            else:
-                depths.append(max(depths[a], depths[b]) + (kind == _PREF))
         self.depth = depths[self.root]
         self.backend = "solver" if self.depth <= 1 else "oracle"
         self.var_slots = [(i, op[1]) for i, op in enumerate(code)
@@ -312,9 +308,6 @@ class Goal:
         # filled by _cells_of for the rank solver
         self.denotations = {}
         self.cells = {}
-        # basic frame's set of valuations -> whether some frame over it can
-        # hold a model, filled by find_countermodel_basic
-        self.basic_sets = {}
         # a frame's _pattern -> a tee of _orbit_orders over it that keeps
         # every order its copies drew, filled by the oracle
         self.orbits = {}
@@ -469,11 +462,11 @@ def _cells_of(goal, universe, valset):
     den = goal.denotations.get(universe)
     if den is None:
         # operands of a depth <= 1 goal contain no atom, so the atom slots
-        # may stay 0 while the operands are evaluated over the valuations
-        every = _powerset(universe)
+        # may stay 0 while the operands are evaluated over the valuations,
+        # valuation j numbering its bits as assignment j does
         den = goal.denotations[universe] = goal.slots(
-            _variable_masks(universe, every, goal.variables))
-        goal.run(den, (1 << len(every)) - 1)
+            dict(zip(universe, _assignment_masks(len(universe)))))
+        goal.run(den, (1 << (1 << len(universe))) - 1)
     fixed = {}
     free = []
     for slot, l, r in goal.atoms:
@@ -587,18 +580,12 @@ def _oracle_search(universe, vals, goal, admissible):
     full = (1 << n) - 1
     atoms = goal.atoms
     values = goal.slots(_variable_masks(universe, vals, goal.variables))
-    admissible_picks = {}
+    # (world index, cell mask) -> indices of the admissible picks: the
+    # policies are pure, so each cell is asked once per frame
+    picks = functools.cache(functools.partial(admissible, vals))
     # (atom, forced mask, either mask, slots below the atom) -> whether some
     # mask the atom can take there satisfies the goal somewhere
     rests = {}
-
-    def picks(j, mask):
-        """Indices of the admissible picks at world j from the cell mask;
-        the policies are pure, so each cell is asked once per frame."""
-        got = admissible_picks.get((j, mask))
-        if got is None:
-            got = admissible_picks[(j, mask)] = admissible(vals, j, mask)
-        return got
 
     # the selection under construction maps (world index, cell mask) to the
     # index of the picked world
@@ -720,23 +707,24 @@ def find_countermodel_basic(goal, max_worlds):
     goal = Goal.of(goal)
     universe = tuple(goal.variables)
     solver = goal.backend == "solver"
+    # set of valuations -> whether some frame over it can hold a model
+    can_hold = {}
     for count in range(1, max_worlds + 1):
         for vals in itertools.combinations_with_replacement(
                 _powerset(universe), count):
             if solver:
                 valset = frozenset(vals)
-                can_hold = goal.basic_sets.get(valset)
-                if can_hold is None:
-                    can_hold = goal.basic_sets[valset] = _can_hold(
+                if valset not in can_hold:
+                    can_hold[valset] = _can_hold(
                         goal, universe, sum(1 << val for val in valset))
-                if not can_hold:
+                if not can_hold[valset]:
                     continue
             found = _search_worlds(universe, vals, goal, admissible_basic,
                                    "basic")
             if found:
                 return found
         if (solver and count == 1 << len(universe)
-                and not any(goal.basic_sets.values())):
+                and not any(can_hold.values())):
             # every set of valuations is decided, and none can hold a model
             return None
     return None

@@ -566,3 +566,22 @@ class TestProveCommand:
         r = run_cli("prove", "--check", str(path))
         assert r.returncode == 3
         assert problem in r.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "O p |- O q", "--regime", "delta", "--max-worlds", "0"],
+     "the world bound must be at least 1"),
+    (["check", "O p |- O q", "--regime", "basic", "--extra-vars", "-1"],
+     "the number of extra variables must be at least 0"),
+    (["check", "O p |- O q", "--regime", "basic", "--grid", "0"],
+     "weights on the grid must be positive"),
+    (["check", "O p |- O q", "--regime", "delta", "--class", "p>q,q>p"],
+     "is cyclic"),
+])
+def test_every_regime_flag_is_checked_whatever_the_regime(capsys, argv,
+                                                          message):
+    # a flag of another regime than the one searched is still a usage error
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err

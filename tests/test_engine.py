@@ -953,6 +953,29 @@ def test_one_goal_searches_each_frame_as_a_fresh_goal_does(formula):
             _oracle_search(PQ, vals, Goal(formula), admissible_basic)
 
 
+def test_oracle_asks_its_policy_once_per_cell_and_frame():
+    # the same (world, cell) pairs come up under each weak order the search
+    # tries before its model
+    goal = Goal(Sequent.parse("P O p |- O P p").goal())
+    asked = []
+
+    def policy(vals, j, mask):
+        asked.append((j, mask))
+        return admissible_basic(vals, j, mask)
+
+    assert _oracle_search(("p",), (0, 0, 1, 1), goal, policy) is not None
+    assert asked
+    assert len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_power_set_variable_masks_are_the_assignment_masks(count):
+    # valuation j of the power set and assignment j number their bits alike
+    universe = tuple("pqrstu"[:count])
+    assert dict(zip(universe, _assignment_masks(count))) == \
+        _variable_masks(universe, _powerset(universe), universe)
+
+
 def test_solver_searches_every_world_as_a_row():
     # worlds 00, 00#1, 01 and 01#1
     vals = (0, 0, 1, 1)
