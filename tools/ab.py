@@ -10,8 +10,8 @@ into this process. One workload is built for each side from
 list the same operations in the same order. Each rep runs every operation
 once on each side, alternating the sides operation by operation and swapping
 which side goes first from one rep to the next, so both sides see the same
-state of the machine. Each operation's check runs once per side, on its first
-output.
+state of the machine. Each run goes through benchmarks/run.py's `Pass`, which
+times the operation and then, outside the timed region, checks its output.
 
 Printed: each operation's median time on each side, the sum of those
 medians and the ratio B/A, and last a JSON line with the same summary. The
@@ -29,7 +29,6 @@ import shutil
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +39,7 @@ MODULES = ("syntax", "models", "regimes", "orders", "engine", "documents",
 # no bytecode is written next to workloads.py or into the copies
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(BENCHMARKS))
+import run                        # noqa: E402
 import workloads                  # noqa: E402
 
 
@@ -56,24 +56,6 @@ def import_tree(src, name, into):
         for module in MODULES})
 
 
-def run_op(op, samples, problems, side):
-    """Time one run of op; on its first run, check its output too."""
-    start = time.perf_counter()
-    try:
-        out = op.run()
-        problem = None
-    except Exception as exc:
-        problem = f"{type(exc).__name__}: {exc}"
-    samples.append(time.perf_counter() - start)
-    if problem is None and len(samples) == 1:
-        try:
-            problem = op.check(out)
-        except Exception as exc:
-            problem = f"check raised {type(exc).__name__}: {exc}"
-    if problem is not None:
-        problems.append(f"{side} {op.label}: {problem}")
-
-
 def compare(ops, reps):
     """Each side's samples of each operation, and the problems seen; ops
     maps each side to its operations."""
@@ -83,7 +65,10 @@ def compare(ops, reps):
         order = "AB" if rep % 2 == 0 else "BA"
         for i in range(len(ops["A"])):
             for side in order:
-                run_op(ops[side][i], samples[side][i], problems, side)
+                timed = run.Pass()
+                timed.run([ops[side][i]])
+                samples[side][i].append(timed.latencies[0])
+                problems += [f"{side} {m}" for m in timed.messages]
     return samples, problems
 
 
@@ -93,7 +78,6 @@ def main(argv=None):
     parser.add_argument("b", help="the src directory of side B")
     parser.add_argument("--workload", required=True,
                         choices=list(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--reps", type=int, default=15)
     args = parser.parse_args(argv)
     if args.reps < 1:
@@ -103,7 +87,7 @@ def main(argv=None):
         sys.path.insert(0, into)
         build = workloads.WORKLOADS[args.workload]
         ops = {side: build(import_tree(src, f"deolog_side_{side.lower()}",
-                                       into), args.seed)
+                                       into), workloads.DEFAULT_SEED)
                for side, src in (("A", args.a), ("B", args.b))}
         labels = [op.label for op in ops["A"]]
         if labels != [op.label for op in ops["B"]]:
@@ -123,7 +107,8 @@ def main(argv=None):
           f"B {total_b * 1e3:.1f} ms, B/A {ratio:.3f}")
     for problem in problems:
         print(f"FAILED {problem}", file=sys.stderr)
-    print(json.dumps({"workload": args.workload, "seed": args.seed,
+    print(json.dumps({"workload": args.workload,
+                      "seed": workloads.DEFAULT_SEED,
                       "reps": args.reps, "operations": len(labels),
                       "sum_median_a_s": total_a, "sum_median_b_s": total_b,
                       "ratio_b_a": ratio, "failed": len(problems)}))
