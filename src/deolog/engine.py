@@ -97,15 +97,16 @@ other frames are searched as before, so the first model is unchanged. Frames
 of 2^n worlds decide every set, so once none of those sets can hold a model,
 the search stops.
 
-The oracle decides per mask the last atom that reads a selection cell. Once
-no later atom reads a cell (Goal.later_cells), the rest of the goal depends
+The oracle decides per mask the last atom that reads a selection cell,
+Goal.last_reader. No later atom reads a cell, so the rest of the goal depends
 only on the mask the atom denotes, and the picks of each world make the atom
 true there, false, or either. So the atom's masks are forced | S for every
 subset S of either. Per frame, the oracle memoises whether one of them
-satisfies the goal somewhere, keyed by the atom, forced, either and the slots
-below the atom, deciding each mask by the walk from the next atom, which
-reads no cell. It walks the atom's pick branches only when one does, so the
-first model and its selection are unchanged.
+satisfies the goal somewhere, keyed by forced, either and the slots below the
+atom, deciding each mask by the walk from the next atom, which reads no cell.
+It walks the atom's pick branches only when one does, so the first model and
+its selection are unchanged. With no such atom no walk reads a rank, so the
+first order of a frame decides it.
 
 A world of any model gives each variable and preference slot a truth value,
 and a preference atom with an operand that no assignment satisfies is false
@@ -288,11 +289,11 @@ class Goal:
         # (slot, left operand slot, right operand slot), innermost first
         self.atoms = [(i, op[1], op[2]) for i, op in enumerate(code)
                       if op[0] == _PREF]
-        # whether any later atom can consume selection cells: atoms
-        # comparing a formula with itself (the box/diamond shape) never
-        # pick from a cell
-        self.later_cells = [any(l != r for _, l, r in self.atoms[i + 1:])
-                            for i in range(len(self.atoms))]
+        # the index of the last atom that can read selection cells, -1 if
+        # none: atoms comparing a formula with itself (the box/diamond
+        # shape) never pick from a cell
+        self.last_reader = max((i for i, (_, l, r) in enumerate(self.atoms)
+                                if l != r), default=-1)
         # cell sides -> {pick pattern -> (mask of the assignments decided,
         # mask of those under which its rank constraints are satisfiable)},
         # filled by the rank solver. Frames of one goal may merge the cells
@@ -583,8 +584,8 @@ def _oracle_search(universe, vals, goal, admissible):
     # (world index, cell mask) -> indices of the admissible picks: the
     # policies are pure, so each cell is asked once per frame
     picks = functools.cache(functools.partial(admissible, vals))
-    # (atom, forced mask, either mask, slots below the atom) -> whether some
-    # mask the atom can take there satisfies the goal somewhere
+    # (forced mask, either mask, slots below atom last_reader) -> whether
+    # some mask that atom can take there satisfies the goal somewhere
     rests = {}
 
     # the selection under construction maps (world index, cell mask) to the
@@ -604,11 +605,10 @@ def _oracle_search(universe, vals, goal, admissible):
             # existential import, or one cell read on both sides
             values[slot] = full if (left and left == right) else 0
             return assign_atom(i + 1, rank, selection)
-        later = goal.later_cells[i]
         # each world's picks; a cell an earlier atom read keeps its pick
         options = [[(selection[cell],) if cell in selection else picks(*cell)
                     for cell in ((j, left), (j, right))] for j in range(n)]
-        if not later:
+        if i == goal.last_reader:
             # no later atom reads a cell, so the rest of the goal depends
             # only on this atom's mask: forced | S for a subset S of either
             forced = either = 0
@@ -621,7 +621,7 @@ def _oracle_search(universe, vals, goal, admissible):
                     either |= 1 << j
                 elif True in truths:
                     forced |= 1 << j
-            key = (i, forced, either, tuple(values[:slot]))
+            key = (forced, either, tuple(values[:slot]))
             if key not in rests:
                 # the walk from atom i + 1 reads no cell, only the mask
                 rests[key] = False
@@ -670,7 +670,7 @@ def _oracle_search(universe, vals, goal, admissible):
         orders = goal.orbits[shape] = itertools.tee(_orbit_orders(shape), 1)[0]
     for rank in copy.copy(orders):
         found = assign_atom(0, rank, {})
-        if found:
+        if found or goal.last_reader < 0:    # no walk reads a rank
             return found
     return None
 

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .syntax import (And, Not, Oblig, Or, Perm, PrefStrict, PrefWeak, Var,
-                     desugar, parse)
+from .syntax import (_OPERANDS, And, Not, Oblig, Or, Perm, PrefStrict,
+                     PrefWeak, Var, desugar, parse)
 from .models import Evaluator, Model, powerset_worlds
 from .regimes import (BasicRegime, DeltaRegime, WeightClass, WeightedRegime,
                       delta_minimal, p_nearest)
@@ -45,24 +45,19 @@ def fill_selector(model, rng):
     return selector
 
 
+# the classes random_surface_formula draws, each below its bound on a
+# uniform draw in [0, 1), in increasing order of bound
+_DRAWS = ((0.3, Var), (0.45, Not), (0.6, And), (0.7, Or), (0.8, PrefWeak),
+          (0.9, Oblig), (1.0, Perm))
+
+
 def random_surface_formula(rng, names, depth):
     r = rng.random()
-    if depth == 0 or r < 0.3:
+    cls = next(cls for bound, cls in _DRAWS if r < bound)
+    if depth == 0 or cls is Var:
         return Var(rng.choice(names))
-    if r < 0.45:
-        return Not(random_surface_formula(rng, names, depth - 1))
-    if r < 0.6:
-        return And(random_surface_formula(rng, names, depth - 1),
-                   random_surface_formula(rng, names, depth - 1))
-    if r < 0.7:
-        return Or(random_surface_formula(rng, names, depth - 1),
-                  random_surface_formula(rng, names, depth - 1))
-    if r < 0.8:
-        return PrefWeak(random_surface_formula(rng, names, depth - 1),
-                        random_surface_formula(rng, names, depth - 1))
-    if r < 0.9:
-        return Oblig(random_surface_formula(rng, names, depth - 1))
-    return Perm(random_surface_formula(rng, names, depth - 1))
+    return cls(*[random_surface_formula(rng, names, depth - 1)
+                 for _ in _OPERANDS[cls]])
 
 
 # --- Claim registry ----------------------------------------------------------
@@ -329,18 +324,15 @@ class SuiteReport:
     def group_lines(self):
         groups = {}
         for r in self.results:
-            group = r.claim_id.split(".")[0]
-            total, good, kinds = groups.setdefault(group, [0, 0, set()])
-            groups[group][0] = total + 1
-            groups[group][1] = good + (1 if r.ok else 0)
-            kinds.add(r.expected)
+            groups.setdefault(r.claim_id.split(".")[0], []).append(r)
         lines = []
-        for group in sorted(groups):
-            total, good, kinds = groups[group]
+        for group, results in sorted(groups.items()):
+            kinds = {r.expected for r in results}
             label = kinds.pop() if len(kinds) == 1 else "ok"
             if label == "qualified-valid":
                 label = "valid"
-            lines.append(f"{group}: {good}/{total} {label}")
+            lines.append(f"{group}: {sum(r.ok for r in results)}/"
+                         f"{len(results)} {label}")
         return lines
 
     def to_doc(self):

@@ -1,9 +1,11 @@
 import json
+import os
 import pathlib
 
 import pytest
 from hypothesis import settings
 
+import deolog
 from deolog.documents import model_from_doc
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -13,6 +15,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 settings.register_profile("deolog", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("deolog")
+
+# tests that start deolog in a child process (python -m deolog, python -c)
+# need it importable there from where this run imports it, also when pytest
+# found it through pyproject.toml's pythonpath rather than PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(pathlib.Path(deolog.__file__).parent.parent),
+                  os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

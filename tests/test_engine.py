@@ -887,6 +887,38 @@ def test_t_pref_searches_one_weak_order_per_orbit(monkeypatch):
     assert built == []
 
 
+@settings(max_examples=100)
+@given(formula=_core_formulas(PQ))
+# a diamond after the last atom comparing two formulas
+@example(formula=Sequent.parse("p >= q |- <>p").goal())
+def test_last_reader_is_the_last_atom_comparing_two_formulas(formula):
+    goal = Goal(formula)
+    count = len(goal.atoms)
+    # an atom comes before last_reader exactly when a later atom compares
+    # two formulas
+    assert [i < goal.last_reader for i in range(count)] == \
+        [any(l != r for _, l, r in goal.atoms[i + 1:]) for i in range(count)]
+
+
+def test_box_diamond_goal_searches_one_weak_order_per_frame(monkeypatch):
+    generated = []
+
+    def counted(items):
+        for order in bruteforce_weak_orders(items):
+            generated.append(order)
+            yield order
+
+    sequent = Sequent.parse("|- <>p -> []<>p")
+    assert Goal(sequent.goal()).last_reader == -1
+    monkeypatch.setattr(engine, "bruteforce_weak_orders", counted)
+    verdict = check(sequent, BASIC4)
+    assert (verdict.kind, verdict.fingerprint) == \
+        ("qualified-valid", {"regime": "basic", "max_worlds": 4})
+    # no atom compares two formulas, so no walk reads a rank and the first
+    # order of each frame decides it, where every orbit order would be 346
+    assert len(generated) == 10
+
+
 def _world_orbit_orders(worlds):
     """_orbit_orders as it was on World objects: the weak orders of the
     worlds in name order that are the first of their orbit, keyed by each
@@ -1194,7 +1226,7 @@ def _unmemoised_oracle_search(universe, vals, goal, admissible):
         if not left or not right or left == right:
             values[slot] = full if (left and left == right) else 0
             return assign_atom(i + 1, rank, selection)
-        later = goal.later_cells[i]
+        later = any(a != b for _, a, b in atoms[i + 1:])
 
         def per_world(j, members):
             if j == n:

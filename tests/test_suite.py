@@ -1,6 +1,10 @@
+import random
+
 from deolog.proofs import check_derivation
-from deolog.suite import (derivation_manifest, load_shipped_derivation,
+from deolog.suite import (ClaimResult, SuiteReport, derivation_manifest,
+                          load_shipped_derivation, random_surface_formula,
                           run_suite)
+from deolog.syntax import pretty
 
 
 class TestRegistry:
@@ -14,6 +18,13 @@ class TestRegistry:
         report = run_suite(only="S31")
         assert report.group_lines() == ["S31: 2/2 invalid"]
 
+    def test_group_lines_count_each_group(self):
+        report = SuiteReport([ClaimResult("A.1", "valid", "valid"),
+                              ClaimResult("A.2", "invalid", "valid"),
+                              ClaimResult("B.1", "qualified-valid",
+                                          "qualified-valid")])
+        assert report.group_lines() == ["A: 1/2 ok", "B: 1/1 valid"]
+
     def test_json_doc_shape(self):
         doc = run_suite(only="S42").to_doc()
         assert doc["ok"] is True
@@ -25,6 +36,15 @@ class TestRegistry:
         report = run_suite(only="Prop4")
         ids = [r.claim_id for r in report.results]
         assert ids == sorted(ids)
+
+
+def test_random_surface_formula_draws_are_pinned():
+    # the randomized claims draw from seeded generators: their samples stay
+    # the same from run to run and from version to version
+    rng = random.Random(5)
+    drawn = [pretty(random_surface_formula(rng, ["p", "q", "r"], 3))
+             for _ in range(3)]
+    assert drawn == ["((r >= r) >= q) | (p >= P q)", "O ~p", "p"]
 
 
 class TestShippedDerivations:
