@@ -4,7 +4,8 @@ For every sequent and satisfiability claim of the suite registry, for the
 theorem of every good shipped derivation decided at Basic{4} (the regime
 `deolog suite` uses for them), and for the decisions in EXTRA, which take the
 verdict paths no claim takes, the snapshot records the verdict kind, its
-fingerprint, witness, strategy, weighting and the countermodel document.
+fingerprint, witness, strategy, weighting, the countermodel document and the
+text report `format_verdict` prints, note included.
 Search order is deterministic, so any drift is a change of behaviour.
 
 Regenerate (only when a change of behaviour is intended and explained):
@@ -17,7 +18,7 @@ import pathlib
 import sys
 
 from deolog import suite
-from deolog.documents import model_to_doc
+from deolog.documents import format_verdict, model_to_doc
 from deolog.engine import (Sequent, check, check_forall_weights_invalidity,
                            satisfiable)
 from deolog.proofs import check_derivation
@@ -79,6 +80,7 @@ def verdict_entry(verdict):
         {v: str(x) for v, x in weighting.items()},
         "model": None if verdict.countermodel is None else
         model_to_doc(verdict.countermodel),
+        "text": format_verdict(verdict).splitlines(),
     }
 
 
