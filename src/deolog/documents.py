@@ -209,26 +209,25 @@ def verdict_to_doc(verdict) -> dict:
 
 
 def format_verdict(verdict) -> str:
-    """Human-readable verdict block (the non-JSON CLI output)."""
-    lines = [f"verdict: {verdict.kind}"]
-    fp = ", ".join(f"{k}={v}" for k, v in verdict.fingerprint.items())
-    lines.append(f"fingerprint: {fp}")
-    if verdict.strategy is not None:
-        robust = verdict.strategy == "forced"
-        lines.append(f"weight-robust: {str(robust).lower()}")
-    weighting = getattr(verdict.countermodel, "weights", None)
-    if weighting is not None:
+    """Human-readable verdict block (the non-JSON CLI output): the report
+    verdict_to_doc gives, a line per fact."""
+    doc = verdict_to_doc(verdict)
+    fp = ", ".join(f"{k}={v}" for k, v in doc["fingerprint"].items())
+    lines = [f"verdict: {doc['verdict']}", f"fingerprint: {fp}"]
+    if "weightRobust" in doc:
+        lines.append(f"weight-robust: {str(doc['weightRobust']).lower()}")
+    if "weighting" in doc:
         lines.append("weighting: " + ", ".join(
-            f"{v}={x}" for v, x in weighting.items()))
-    if verdict.witness is not None:
-        lines.append(f"witness: {verdict.witness.name}")
-    if verdict.countermodel is not None:
-        m = verdict.countermodel
-        lines.append("model:" if verdict.kind == "sat" else "countermodel:")
-        for name in sorted(w.name for w in m.worlds):
-            lines.append(f"  u({name}) = {m.utility[m.world(name)]}")
-        for at, of, pick in _selection_rows(m):
-            lines.append(f"  select({at}, {{{','.join(of)}}}) = {pick}")
-    if verdict.detail is not None:
-        lines.append(f"note: {verdict.detail}")
+            f"{v}={x}" for v, x in doc["weighting"].items()))
+    if "witness" in doc:
+        lines.append(f"witness: {doc['witness']}")
+    for key in ("model", "countermodel"):
+        if key in doc:
+            lines.append(f"{key}:")
+            lines += [f"  u({name}) = {rank}"
+                      for name, rank in doc[key]["utility"].items()]
+            lines += [f"  select({row['at']}, {{{','.join(row['of'])}}}) = "
+                      f"{row['pick']}" for row in doc[key]["selection"]]
+    if "detail" in doc:
+        lines.append(f"note: {doc['detail']}")
     return "\n".join(lines)
