@@ -20,11 +20,14 @@ check_forall_weights_invalidity every rung for a model under every weighting;
 both fingerprints, like delta's, name the rungs searched to the end, with the
 number of weightings of each. A budget (ORACLE_WORLD_CAP worlds,
 models.MAX_UNIVERSE variables, regimes.MAX_WEIGHT_CANDIDATES candidate
-weightings) raises BudgetExceeded in a rung; _budgeted alone catches it, for
-_ladder and the basic search. With the base rung cut, or in basic, whose
-frames stop at max_worlds with no small-model bound known, no model means
-qualified-valid to check and unknown to satisfiable. The only option of a
-decision is strict_def7, the reading of P the goal is built with.
+weightings) raises BudgetExceeded in a rung, its message naming the cap and
+the number that hit it; _budgeted alone catches it, for _ladder and the basic
+search, and makes the message the note of the search: in a ladder, that of
+the first rung cut. With the base rung cut, or in basic, whose frames stop at
+max_worlds with no small-model bound known, no model means qualified-valid to
+check and unknown to satisfiable, with that note when a budget fired. The
+only option of a decision is strict_def7, the reading of P the goal is built
+with.
 
 At modal depth <= 1 the ladder is one rung, the base rung, in every regime.
 Every cell of such a goal is a Boolean combination of the goal's variables,
@@ -755,27 +758,31 @@ def find_countermodel_delta(goal, extra_vars=0, admissible=admissible_delta):
 # --- The retry ladder --------------------------------------------------------
 
 def _budgeted(search, *args):
-    """(search(*args), True), or (None, False) when a budget cuts it."""
+    """(search(*args), None), or (None, the note of the budget that fired)
+    when a budget cuts it."""
     try:
-        return search(*args), True
-    except BudgetExceeded:
-        return None, False
+        return search(*args), None
+    except BudgetExceeded as exc:
+        return None, f"budget exceeded: {exc}"
 
 
 def _ladder(search, goal, base, rungs=LADDER_RUNGS):
     """Search rungs rungs of the goal's retry ladder in order from base,
     search(extra) searching the rung with extra fresh variables; at modal
     depth <= 1 only the base rung, since no upper rung has a model the base
-    rung lacks. Returns the first (model, world) found or None, and the
-    extra-variable counts of the rungs searched to the end."""
+    rung lacks. Returns the first (model, world) found or None, the
+    extra-variable counts of the rungs searched to the end, and the note of
+    the first rung a budget cut, or None."""
     searched = []
+    first_cut = None
     for extra in range(base, base + (1 if goal.depth <= 1 else rungs)):
-        found, done = _budgeted(search, extra)
-        if done:
+        found, cut = _budgeted(search, extra)
+        if cut is None:
             searched.append(extra)
+        first_cut = first_cut or cut
         if found:
-            return found, searched
-    return None, searched
+            break
+    return found, searched, first_cut
 
 
 class _Search(NamedTuple):
@@ -783,8 +790,7 @@ class _Search(NamedTuple):
     fingerprint: dict       # the bounds searched
     strategy: str | None    # the strategy of a weighted model
     complete: bool          # whether finding no model proves there is none
-    # the detail of a verdict of kind cut
-    cut_note: str | None = "budget exceeded before the base search"
+    cut_note: str | None    # the detail of a verdict of kind cut
 
     def verdict(self, found, none, cut) -> Verdict:
         """A verdict of kind found if a model was found, else of kind none
@@ -808,11 +814,11 @@ def _weighted(goal, regime, fingerprint, every):
     rungs searched to the end and the number of weightings of each."""
     base = regime.extra_variables
     # a forced-pick model satisfies the goal under every weighting
-    found, _ = _ladder(
+    found, _, _ = _ladder(
         lambda extra: find_countermodel_delta(goal, extra, admissible_forced),
         goal, base)
     if found:
-        return _Search(found, fingerprint, "forced", True)
+        return _Search(found, fingerprint, "forced", True, None)
 
     # extra -> the number of weightings of that rung's universe
     counts = {}
@@ -823,9 +829,10 @@ def _weighted(goal, regime, fingerprint, every):
         vals = _powerset(universe)
         if goal.backend == "oracle":  # every weighting's search would be cut
             _check_oracle_cap(len(vals))
-        if len(regime.grid) ** len(universe) > MAX_WEIGHT_CANDIDATES:
-            raise BudgetExceeded(f"weightings exceed cap "
-                                 f"{MAX_WEIGHT_CANDIDATES}")
+        candidates = len(regime.grid) ** len(universe)
+        if candidates > MAX_WEIGHT_CANDIDATES:
+            raise BudgetExceeded(f"{candidates} candidate weightings exceed "
+                                 f"cap {MAX_WEIGHT_CANDIDATES}")
         weightings = enumerate_weight_orders(universe, regime.weight_class,
                                              regime.grid)
         counts[extra] = len(weightings)
@@ -841,36 +848,31 @@ def _weighted(goal, regime, fingerprint, every):
             first = first or found
         return first
 
-    found, searched = _ladder(per_weighting, goal, base,
-                              LADDER_RUNGS if every else 1)
+    found, searched, cut = _ladder(per_weighting, goal, base,
+                                   LADDER_RUNGS if every else 1)
     fingerprint["extras_searched"] = searched
     fingerprint["weightings"] = [counts[extra] for extra in searched]
-    return _Search(found, fingerprint, "per-weighting", base in searched)
+    return _Search(found, fingerprint, "per-weighting", base in searched, cut)
 
 
 def _find(goal, regime) -> _Search:
     """Search the regime's retry ladder for a model and a world satisfying
     the goal, going on to the next rung when a budget cuts one."""
     if isinstance(regime, BasicRegime):
-        found, complete = _budgeted(find_countermodel_basic, goal,
-                                    regime.max_worlds)
-        # no small-model bound is known for the basic regime. Frames come
-        # in ascending size, and only the oracle cap cuts one, so a cut
-        # search has searched every frame up to the cap.
+        # no small-model bound is known for the basic regime, so no search
+        # of it is complete
+        found, cut = _budgeted(find_countermodel_basic, goal,
+                               regime.max_worlds)
         return _Search(found, {"regime": "basic",
                                "max_worlds": regime.max_worlds},
-                       None, False,
-                       cut_note=None if complete else
-                       f"frames of up to {ORACLE_WORLD_CAP} worlds searched; "
-                       f"the oracle cap of {ORACLE_WORLD_CAP} worlds cut the "
-                       f"larger frames")
+                       None, False, cut)
     if isinstance(regime, DeltaRegime):
         base = regime.extra_variables
-        found, searched = _ladder(
+        found, searched, cut = _ladder(
             lambda extra: find_countermodel_delta(goal, extra), goal, base)
         return _Search(found, {"regime": "delta", "extra_vars": base,
                                "extras_searched": searched},
-                       None, base in searched)
+                       None, base in searched, cut)
     if not isinstance(regime, WeightedRegime):
         raise TypeError(f"unknown regime {regime!r}")
     return _weighted(goal, regime,

@@ -232,7 +232,8 @@ class TestForallWeights:
                                  "extras_searched": [], "weightings": []}
         v = check(sequent, WeightedRegime())
         assert (v.kind, v.detail) == \
-            ("qualified-valid", "budget exceeded before the base search")
+            ("qualified-valid", "budget exceeded: 8 worlds exceeds oracle "
+                                f"cap {ORACLE_WORLD_CAP}")
         assert (v.fingerprint["extras_searched"],
                 v.fingerprint["weightings"]) == ([], [])
         assert calls.call_count == 0
@@ -324,10 +325,38 @@ class TestBudgets:
         v = check(Sequent.parse("|- [][]p -> []p"), BasicRegime(7))
         assert v.kind == "qualified-valid" and v.exit_code() == 0
         assert v.detail == (
-            f"frames of up to {ORACLE_WORLD_CAP} worlds searched; the oracle "
-            f"cap of {ORACLE_WORLD_CAP} worlds cut the larger frames")
+            f"budget exceeded: {ORACLE_WORLD_CAP + 1} worlds exceeds oracle "
+            f"cap {ORACLE_WORLD_CAP}")
         assert check(Sequent.parse("|- [][]p -> []p"),
                      BasicRegime(ORACLE_WORLD_CAP)).detail is None
+
+    @pytest.mark.parametrize("text, regime, note", [
+        # p and MAX_UNIVERSE more variables: no rung's universe fits
+        ("O p ; " + " & ".join(f"v{i}" for i in range(MAX_UNIVERSE))
+         + " |- O p", DELTA0,
+         f"universe of {MAX_UNIVERSE + 1} variables exceeds cap "
+         f"{MAX_UNIVERSE}"),
+        # depth 2 over three variables: the base rung's 8 worlds, the first
+        # rung cut, not the 32 of the last
+        ("O O p ; q & r |- O p", DELTA0,
+         f"8 worlds exceeds oracle cap {ORACLE_WORLD_CAP}"),
+        ("O O p ; q & r |- O p", WeightedRegime(),
+         f"8 worlds exceeds oracle cap {ORACLE_WORLD_CAP}"),
+        # no forced model refutes it, and seven variables have 9^7
+        # candidate weightings on the default grid
+        ("p ; q ; r ; s ; t ; u ; v |- O(p & q)", WeightedRegime(),
+         f"{9 ** 7} candidate weightings exceed cap "
+         f"{regimes.MAX_WEIGHT_CANDIDATES}"),
+        ("|- [][]p -> []p", BasicRegime(7),
+         f"{ORACLE_WORLD_CAP + 1} worlds exceeds oracle cap "
+         f"{ORACLE_WORLD_CAP}"),
+    ], ids=["universe-delta", "oracle-delta", "oracle-weighted",
+            "weightings-weighted", "oracle-basic"])
+    def test_note_names_the_cap_and_the_number_that_hit_it(self, text,
+                                                           regime, note):
+        v = check(Sequent.parse(text), regime)
+        assert (v.kind, v.detail) == ("qualified-valid",
+                                      "budget exceeded: " + note)
 
     def test_basic_search_none_when_valid(self):
         assert find_countermodel_basic(
@@ -1469,7 +1498,9 @@ def test_weightings_over_the_cap_are_not_enumerated(monkeypatch):
     sequent = Sequent.parse("p ; q ; r ; s ; t ; u ; v |- O(p & q)")
     v = check(sequent, WeightedRegime())
     assert (v.kind, v.fingerprint["extras_searched"], v.detail) == \
-        ("qualified-valid", [], "budget exceeded before the base search")
+        ("qualified-valid", [], f"budget exceeded: {9 ** 7} candidate "
+                                f"weightings exceed cap "
+                                f"{regimes.MAX_WEIGHT_CANDIDATES}")
     v = check_forall_weights_invalidity(sequent)
     assert (v.kind, v.fingerprint["extras_searched"]) == ("unknown", [])
     assert calls.call_count == 0
