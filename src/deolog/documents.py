@@ -209,8 +209,7 @@ def verdict_to_doc(verdict) -> dict:
 
 
 def format_verdict(verdict) -> str:
-    """Human-readable verdict block (the non-JSON CLI output): the report
-    verdict_to_doc gives, a line per fact."""
+    """The CLI's text verdict block: verdict_to_doc's report, line by line."""
     doc = verdict_to_doc(verdict)
     fp = ", ".join(f"{k}={v}" for k, v in doc["fingerprint"].items())
     lines = [f"verdict: {doc['verdict']}", f"fingerprint: {fp}"]

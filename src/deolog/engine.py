@@ -20,14 +20,12 @@ check_forall_weights_invalidity every rung for a model under every weighting;
 both fingerprints, like delta's, name the rungs searched to the end, with the
 number of weightings of each. A budget (ORACLE_WORLD_CAP worlds,
 models.MAX_UNIVERSE variables, regimes.MAX_WEIGHT_CANDIDATES candidate
-weightings) raises BudgetExceeded in a rung, its message naming the cap and
-the number that hit it; _budgeted alone catches it, for _ladder and the basic
-search, and makes the message the note of the search: in a ladder, that of
-the first rung cut. With the base rung cut, or in basic, whose frames stop at
-max_worlds with no small-model bound known, no model means qualified-valid to
-check and unknown to satisfiable, with that note when a budget fired. The
-only option of a decision is strict_def7, the reading of P the goal is built
-with.
+weightings) raises BudgetExceeded in a rung, naming the number over the cap;
+_budgeted alone catches it, and its message is the note of a cut search (a
+ladder's first cut rung's). With the base rung cut, or in basic, whose frames
+stop at max_worlds with no small-model bound known, no model means
+qualified-valid to check and unknown to satisfiable. The only option of a
+decision is strict_def7, the reading of P the goal is built with.
 
 At modal depth <= 1 the ladder is one rung, the base rung, in every regime.
 Every cell of such a goal is a Boolean combination of the goal's variables,
@@ -115,9 +113,9 @@ A world of any model gives each variable and preference slot a truth value,
 and a preference atom with an operand that no assignment satisfies is false
 at every world: the operand denotes the empty set in every model
 (existential import). So when no truth assignment to those slots, such
-atoms false, satisfies the root (Goal.skeleton_holds, decided once per
-Goal), the oracle refutes every frame after its cap check, which keeps
-every cut.
+atoms false, satisfies the root (Goal.skeleton_holds), the oracle refutes
+every frame after its cap check, which keeps every cut, and a basic search
+at depth <= 1, which no budget cuts, searches no frame.
 
 Frames are sequences of valuation ints, as in regimes: a basic frame is a
 sorted combination of valuations, the power set range(2^n). The mask
@@ -710,6 +708,8 @@ def find_countermodel_basic(goal, max_worlds):
     goal = Goal.of(goal)
     universe = tuple(goal.variables)
     solver = goal.backend == "solver"
+    if solver and not goal.skeleton_holds():   # no world satisfies the goal
+        return None
     # set of valuations -> whether some frame over it can hold a model
     can_hold = {}
     for count in range(1, max_worlds + 1):
@@ -758,8 +758,7 @@ def find_countermodel_delta(goal, extra_vars=0, admissible=admissible_delta):
 # --- The retry ladder --------------------------------------------------------
 
 def _budgeted(search, *args):
-    """(search(*args), None), or (None, the note of the budget that fired)
-    when a budget cuts it."""
+    """(search(*args), None), or (None, the note) when a budget cuts it."""
     try:
         return search(*args), None
     except BudgetExceeded as exc:
@@ -772,17 +771,16 @@ def _ladder(search, goal, base, rungs=LADDER_RUNGS):
     depth <= 1 only the base rung, since no upper rung has a model the base
     rung lacks. Returns the first (model, world) found or None, the
     extra-variable counts of the rungs searched to the end, and the note of
-    the first rung a budget cut, or None."""
-    searched = []
-    first_cut = None
+    the first rung cut or None."""
+    searched, cut = [], None
     for extra in range(base, base + (1 if goal.depth <= 1 else rungs)):
-        found, cut = _budgeted(search, extra)
-        if cut is None:
+        found, note = _budgeted(search, extra)
+        if note is None:
             searched.append(extra)
-        first_cut = first_cut or cut
+        cut = cut or note
         if found:
             break
-    return found, searched, first_cut
+    return found, searched, cut
 
 
 class _Search(NamedTuple):
@@ -859,8 +857,7 @@ def _find(goal, regime) -> _Search:
     """Search the regime's retry ladder for a model and a world satisfying
     the goal, going on to the next rung when a budget cuts one."""
     if isinstance(regime, BasicRegime):
-        # no small-model bound is known for the basic regime, so no search
-        # of it is complete
+        # no small-model bound is known, so no basic search is complete
         found, cut = _budgeted(find_countermodel_basic, goal,
                                regime.max_worlds)
         return _Search(found, {"regime": "basic",

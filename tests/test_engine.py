@@ -358,6 +358,15 @@ class TestBudgets:
         assert (v.kind, v.detail) == ("qualified-valid",
                                       "budget exceeded: " + note)
 
+    def test_basic_skeleton_stop_searches_no_frame(self, monkeypatch):
+        # no truth assignment to the atoms of O p satisfies O p & ~O p, so
+        # no valuation set is decided
+        calls = mock.Mock(wraps=_can_hold)
+        monkeypatch.setattr(engine, "_can_hold", calls)
+        v = check(Sequent.parse("O p ; a & b & c & d |- O p"), BASIC4)
+        assert (v.kind, v.detail) == ("qualified-valid", None)
+        assert calls.call_count == 0
+
     def test_basic_search_none_when_valid(self):
         assert find_countermodel_basic(
             Sequent.parse("|- ~(O p & O ~p)").goal(), 4) is None
